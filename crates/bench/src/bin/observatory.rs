@@ -93,7 +93,9 @@
 //! fabric-link-budget and scale-store rules. Without `--diff` it
 //! persists the next free `SCALE_<n>.json` in `--dir`; with `--diff
 //! <baseline>` it gates the fresh campaign against a committed store.
-//! Byte-identical at any `--jobs` count and under every backend.
+//! A `--dir` that is not a directory, or a `--diff` baseline that does
+//! not load, exits 2 before the campaign runs. Byte-identical at any
+//! `--jobs` count and under every backend.
 //!
 //! `analyze` runs the `fblas-check` channel-graph analyses — the
 //! deadlock-freedom proof and throughput/bandwidth cuts over every
@@ -636,10 +638,25 @@ fn cmd_scale(mut args: Vec<String>) -> ExitCode {
     let jobs = take_jobs(&mut args);
     let backend = take_backend(&mut args);
     let dir = PathBuf::from(take_value(&mut args, "--dir").unwrap_or_else(|| ".".into()));
-    let baseline = take_value(&mut args, "--diff").map(PathBuf::from);
+    let baseline_path = take_value(&mut args, "--diff").map(PathBuf::from);
     if !args.is_empty() {
         return usage();
     }
+    // Reject a bad `--dir` or `--diff` before the campaign runs, not after.
+    if !dir.is_dir() {
+        eprintln!("error: --dir {} is not a directory", dir.display());
+        return ExitCode::from(2);
+    }
+    let baseline = match baseline_path
+        .map(|path| ScaleSet::load(&path).map(|set| (set, path)))
+        .transpose()
+    {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
     eprintln!(
         "observatory: running the {} scaling campaign on {} job(s), {} backend...",
         if quick { "quick" } else { "full" },
@@ -672,14 +689,7 @@ fn cmd_scale(mut args: Vec<String>) -> ExitCode {
         println!("observatory scale: FAIL — fabric budget/soundness rules violated");
         return ExitCode::FAILURE;
     }
-    if let Some(baseline_path) = baseline {
-        let baseline = match ScaleSet::load(&baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
+    if let Some((baseline, baseline_path)) = baseline {
         let diff = fblas_metrics::diff_scale(&set, &baseline);
         print!("{}", diff.render());
         if !diff.pass() {

@@ -5,9 +5,13 @@
 //! twelve-FPGA point, and both `MvM` orientations split across up to six
 //! FPGAs — and runs as one job on the shared worker pool. Operand data
 //! is fixed per kernel and problem size, so every width of a ladder
-//! multiplies the same matrices; the fabric's shard-invariance contract
-//! then makes the *values* identical down the ladder while the
-//! schedule, stall attribution and link traffic change.
+//! multiplies the same matrices.
+//!
+//! The rows report only the schedule, so an MM row never computes the
+//! product: [`FabricMm::timing_in`] measures one probe block and replays
+//! the link schedule from it. Only `FabricMm::run_in` computes values;
+//! they stay shard-invariant, and the fabric's one-shard bit-identity
+//! tests pin them against the unsharded design.
 //!
 //! The reduction is two-pass: the pool returns raw measurements in
 //! campaign order, then [`finalize`] joins every row against its
@@ -87,7 +91,7 @@ fn mm_job(plan: MmShardPlan) -> Job<ScaleRecord> {
     let label = format!("{MM_KERNEL}/s{}", plan.shards);
     Job::new(&label, move |harness| {
         let (a, b) = mm_operands(plan.n);
-        let out = FabricMm::on_xd1(plan).run_in(harness, &a, &b);
+        let out = FabricMm::on_xd1(plan).timing_in(harness, &a, &b);
         let mut rec = record_skeleton(
             MM_KERNEL,
             plan.shards as u64,

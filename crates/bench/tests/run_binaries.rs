@@ -168,6 +168,58 @@ fn observatory_rejects_bad_jobs_values() {
     }
 }
 
+/// `scale` must reject a `--dir` that is not a directory and a `--diff`
+/// baseline that does not load before running the campaign: exit 2,
+/// no `SCALE_*.json` written, and no campaign banner on stderr.
+#[test]
+fn observatory_scale_rejects_bad_dir_and_baseline_before_running() {
+    let observatory = env!("CARGO_BIN_EXE_observatory");
+    let dir = std::env::temp_dir().join("fblas_observatory_scale_fail_fast");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let missing_dir = dir.join("nonexistent").join("x");
+    let missing_baseline = dir.join("nonexistent.json");
+    let cases = [
+        vec!["--dir".to_string(), missing_dir.display().to_string()],
+        vec![
+            "--dir".to_string(),
+            dir.display().to_string(),
+            "--diff".to_string(),
+            missing_baseline.display().to_string(),
+        ],
+    ];
+    for extra in &cases {
+        let output = Command::new(observatory)
+            .args(["scale", "--quick"])
+            .args(extra)
+            .output()
+            .expect("failed to launch observatory");
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{extra:?}: {:?}",
+            output.status
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            !stderr.contains("scaling campaign"),
+            "{extra:?}: the campaign ran first; stderr was {stderr:?}"
+        );
+        assert!(
+            stderr.contains("error:"),
+            "{extra:?}: stderr was {stderr:?}"
+        );
+    }
+    assert!(!missing_dir.exists());
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("temp dir")
+        .filter_map(Result::ok)
+        .filter(|e| e.file_name().to_string_lossy().starts_with("SCALE_"))
+        .collect();
+    assert!(written.is_empty(), "wrote {written:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Unknown `--backend` names must be rejected with exit status 2 and the
 /// shared parser's diagnostic on every subcommand that accepts the flag.
 #[test]

@@ -34,7 +34,7 @@ pub mod net;
 pub mod plan;
 
 pub use link::{FabricLink, LinkClass, LinkReport, RingSpec};
-pub use mm::{FabricMm, FabricMmOutcome};
+pub use mm::{FabricMm, FabricMmOutcome, FabricMmTiming};
 pub use mvm::{FabricMvm, FabricMvmOutcome};
 pub use net::{Layout, LinkDir, LinkMeta, NetDeliveries, RingNet};
 pub use plan::{
@@ -47,6 +47,7 @@ mod tests {
     use super::*;
     use fblas_core::mm::{ref_matmul, LinearArrayMm, MmParams};
     use fblas_core::mvm::{ColMajorMvm, DenseMatrix, MvmParams, RowMajorMvm};
+    use fblas_sim::Harness;
     use fblas_system::ClockModel;
 
     fn test_mats(n: usize) -> (DenseMatrix, DenseMatrix) {
@@ -180,6 +181,47 @@ mod tests {
         assert_eq!(one.starved_cycles, two.starved_cycles);
         assert_eq!(one.backpressured_cycles, two.backpressured_cycles);
         assert_eq!(one.links, two.links);
+    }
+
+    /// The probe-block schedule must report exactly what the full value
+    /// pass does, on the real ring and on one starved enough to stall
+    /// both ways (operands late, and an egress window smaller than one
+    /// C block).
+    #[test]
+    fn timing_matches_the_value_pass_on_every_quick_plan() {
+        let starved = |clock_mhz| RingSpec {
+            intra_words_per_cycle: 0.25,
+            egress_capacity_words: 512,
+            ..RingSpec::xd1(clock_mhz)
+        };
+        for plan in mm_plans(true) {
+            let (a, b) = test_mats(plan.n);
+            for (spec, constrained) in [
+                (RingSpec::xd1(plan.clock_mhz), false),
+                (starved(plan.clock_mhz), true),
+            ] {
+                let fabric = FabricMm::with_ring(plan, spec);
+                let full = fabric.run(&a, &b);
+                let timing = fabric.timing_in(&mut Harness::new(), &a, &b);
+                let cell = format!("s={} constrained={constrained}", plan.shards);
+                assert_eq!(timing.report, full.report, "{cell}");
+                assert_eq!(timing.starved_cycles, full.starved_cycles, "{cell}");
+                assert_eq!(
+                    timing.backpressured_cycles, full.backpressured_cycles,
+                    "{cell}"
+                );
+                assert_eq!(timing.links, full.links, "{cell}");
+                assert_eq!(timing.per_shard_macs, full.per_shard_macs, "{cell}");
+                assert_eq!(timing.hazard_violations, full.hazard_violations, "{cell}");
+                if constrained && plan.shards > 1 {
+                    assert!(timing.starved_cycles > 0, "{cell}: no operand starvation");
+                    assert!(
+                        timing.backpressured_cycles > 0,
+                        "{cell}: no egress backpressure"
+                    );
+                }
+            }
+        }
     }
 
     fn mvm_case(n: usize) -> (DenseMatrix, Vec<f64>) {

@@ -135,6 +135,11 @@ pub struct FabricLink {
     throttle: Throttle,
     /// Queued words per flow, awaiting a grant.
     pending: Vec<u64>,
+    /// Sum of `pending`, kept in step with it.
+    backlog: u64,
+    /// Words granted per flow in the current cycle (reused scratch,
+    /// all zero between ticks).
+    granted: Vec<u64>,
     /// Granted words in flight: (arrival cycle, flow, words), FIFO.
     in_flight: VecDeque<(u64, usize, u64)>,
     /// Round-robin pointer: next flow to consider for a grant.
@@ -157,6 +162,8 @@ impl FabricLink {
             latency_cycles,
             throttle: Throttle::new(words_per_cycle),
             pending: vec![0; flows],
+            backlog: 0,
+            granted: vec![0; flows],
             in_flight: VecDeque::new(),
             rr: 0,
             now: 0,
@@ -169,11 +176,12 @@ impl FabricLink {
     /// Queue `words` of `flow` at the link's ingress.
     pub fn offer(&mut self, flow: usize, words: u64) {
         self.pending[flow] += words;
+        self.backlog += words;
     }
 
     /// Total queued words across all flows.
     pub fn backlog_words(&self) -> u64 {
-        self.pending.iter().sum()
+        self.backlog
     }
 
     /// Words granted but still on the wire.
@@ -183,7 +191,7 @@ impl FabricLink {
 
     /// Whether the link holds no queued or in-flight traffic.
     pub fn is_idle(&self) -> bool {
-        self.backlog_words() == 0 && self.in_flight.is_empty()
+        self.backlog == 0 && self.in_flight.is_empty()
     }
 
     /// Words granted onto the wire so far.
@@ -193,49 +201,43 @@ impl FabricLink {
 
     /// Advance one cycle: replenish credit, grant queued words
     /// round-robin, and pop arrivals whose latency has elapsed.
-    /// Returns `(flow, words)` batches arriving this cycle.
-    pub fn tick(&mut self) -> Vec<(usize, u64)> {
+    /// Appends the `(flow, words)` batches arriving this cycle to
+    /// `arrivals` and returns the words granted onto the wire.
+    pub fn tick(&mut self, arrivals: &mut Vec<(usize, u64)>) -> u64 {
         self.now += 1;
         self.throttle.tick();
 
-        let backlog = self.backlog_words();
-        self.max_backlog_words = self.max_backlog_words.max(backlog);
-        let budget = self.throttle.grant_up_to(backlog);
-
-        // Word-at-a-time round-robin: fair to within one word per
-        // cycle, and independent of flow insertion order.
-        let flows = self.pending.len();
-        let mut moved = vec![0u64; flows];
-        let mut remaining = budget;
-        while remaining > 0 {
-            let mut granted = false;
-            for off in 0..flows {
-                let f = (self.rr + off) % flows;
-                if self.pending[f] > 0 {
-                    self.pending[f] -= 1;
-                    moved[f] += 1;
-                    remaining -= 1;
-                    self.rr = (f + 1) % flows;
-                    granted = true;
-                    break;
+        self.max_backlog_words = self.max_backlog_words.max(self.backlog);
+        let budget = self.throttle.grant_up_to(self.backlog);
+        if budget > 0 {
+            // Word-at-a-time round-robin: fair to within one word per
+            // cycle, and independent of flow insertion order. The
+            // budget never exceeds the backlog, so every word finds a
+            // non-empty flow.
+            let flows = self.pending.len();
+            for _ in 0..budget {
+                let mut f = self.rr;
+                while self.pending[f] == 0 {
+                    f = (f + 1) % flows;
+                }
+                self.pending[f] -= 1;
+                self.granted[f] += 1;
+                self.rr = (f + 1) % flows;
+            }
+            self.backlog -= budget;
+            self.forwarded_words += budget;
+            let due = self.now + self.latency_cycles;
+            for (f, w) in self.granted.iter_mut().enumerate() {
+                if *w > 0 {
+                    self.in_flight.push_back((due, f, *w));
+                    *w = 0;
                 }
             }
-            if !granted {
-                break;
-            }
         }
-        for (f, &w) in moved.iter().enumerate() {
-            if w > 0 {
-                self.forwarded_words += w;
-                self.in_flight
-                    .push_back((self.now + self.latency_cycles, f, w));
-            }
-        }
-        if self.backlog_words() > 0 {
+        if self.backlog > 0 {
             self.congestion_cycles += 1;
         }
 
-        let mut arrivals = Vec::new();
         while let Some(&(due, f, w)) = self.in_flight.front() {
             if due > self.now {
                 break;
@@ -243,7 +245,7 @@ impl FabricLink {
             self.in_flight.pop_front();
             arrivals.push((f, w));
         }
-        arrivals
+        budget
     }
 
     /// Snapshot the link's cumulative statistics under `name`.
@@ -261,6 +263,144 @@ impl FabricLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One tick's arrivals as a fresh vector.
+    fn tick(link: &mut FabricLink) -> Vec<(usize, u64)> {
+        let mut arrivals = Vec::new();
+        link.tick(&mut arrivals);
+        arrivals
+    }
+
+    /// The original link: re-sums the backlog on every use and grants
+    /// into a fresh per-cycle vector. [`FabricLink`] must match it
+    /// word for word.
+    struct ReferenceLink {
+        latency_cycles: u64,
+        throttle: Throttle,
+        pending: Vec<u64>,
+        in_flight: VecDeque<(u64, usize, u64)>,
+        rr: usize,
+        now: u64,
+        congestion_cycles: u64,
+        max_backlog_words: u64,
+        forwarded_words: u64,
+    }
+
+    impl ReferenceLink {
+        fn new(words_per_cycle: f64, latency_cycles: u64, flows: usize) -> Self {
+            Self {
+                latency_cycles,
+                throttle: Throttle::new(words_per_cycle),
+                pending: vec![0; flows],
+                in_flight: VecDeque::new(),
+                rr: 0,
+                now: 0,
+                congestion_cycles: 0,
+                max_backlog_words: 0,
+                forwarded_words: 0,
+            }
+        }
+
+        fn backlog_words(&self) -> u64 {
+            self.pending.iter().sum()
+        }
+
+        fn tick(&mut self) -> Vec<(usize, u64)> {
+            self.now += 1;
+            self.throttle.tick();
+            let backlog = self.backlog_words();
+            self.max_backlog_words = self.max_backlog_words.max(backlog);
+            let budget = self.throttle.grant_up_to(backlog);
+            let flows = self.pending.len();
+            let mut moved = vec![0u64; flows];
+            let mut remaining = budget;
+            while remaining > 0 {
+                let mut granted = false;
+                for off in 0..flows {
+                    let f = (self.rr + off) % flows;
+                    if self.pending[f] > 0 {
+                        self.pending[f] -= 1;
+                        moved[f] += 1;
+                        remaining -= 1;
+                        self.rr = (f + 1) % flows;
+                        granted = true;
+                        break;
+                    }
+                }
+                if !granted {
+                    break;
+                }
+            }
+            for (f, &w) in moved.iter().enumerate() {
+                if w > 0 {
+                    self.forwarded_words += w;
+                    self.in_flight
+                        .push_back((self.now + self.latency_cycles, f, w));
+                }
+            }
+            if self.backlog_words() > 0 {
+                self.congestion_cycles += 1;
+            }
+            let mut arrivals = Vec::new();
+            while let Some(&(due, f, w)) = self.in_flight.front() {
+                if due > self.now {
+                    break;
+                }
+                self.in_flight.pop_front();
+                arrivals.push((f, w));
+            }
+            arrivals
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random offer/tick sequences: the allocation-free link grants,
+        /// delivers and counts exactly like the reference, and its
+        /// running backlog always equals the sum of its queues.
+        #[test]
+        fn link_matches_the_reference_word_for_word(
+            flows in 1usize..13,
+            rate_millis in 50u64..4000,
+            latency in 1u64..9,
+            ops in prop::collection::vec((0u8..3, 0usize..12, 0u64..40), 1..400)
+        ) {
+            let rate = rate_millis as f64 / 1000.0;
+            let mut link = FabricLink::new(LinkClass::RocketIo, rate, latency, flows);
+            let mut reference = ReferenceLink::new(rate, latency, flows);
+            let mut arrivals = Vec::new();
+            // Every op list is followed by enough idle ticks to drain.
+            let drain = ops.iter().map(|&(_, _, w)| w).sum::<u64>() * 40 + 16;
+            let steps = ops.iter().map(|&op| Some(op)).chain((0..drain).map(|_| None));
+            for op in steps {
+                match op {
+                    Some((0, flow, words)) => {
+                        link.offer(flow % flows, words);
+                        reference.pending[flow % flows] += words;
+                    }
+                    _ => {
+                        arrivals.clear();
+                        let granted = link.tick(&mut arrivals);
+                        let before = reference.forwarded_words;
+                        prop_assert_eq!(&arrivals, &reference.tick());
+                        prop_assert_eq!(granted, reference.forwarded_words - before);
+                    }
+                }
+                prop_assert_eq!(link.backlog_words(), link.pending.iter().sum::<u64>());
+                prop_assert_eq!(link.backlog_words(), reference.backlog_words());
+                prop_assert_eq!(link.forwarded_words, reference.forwarded_words);
+                prop_assert_eq!(link.congestion_cycles, reference.congestion_cycles);
+                prop_assert_eq!(link.max_backlog_words, reference.max_backlog_words);
+                prop_assert!(link.granted.iter().all(|&w| w == 0));
+                if link.is_idle() && reference.in_flight.is_empty() && op.is_none() {
+                    break;
+                }
+            }
+            prop_assert!(link.is_idle(), "link failed to drain");
+        }
+    }
 
     #[test]
     fn xd1_rates_match_the_paper_links() {
@@ -280,7 +420,7 @@ mod tests {
         let mut cycles = 0;
         while delivered < 10 {
             cycles += 1;
-            for (f, w) in link.tick() {
+            for (f, w) in tick(&mut link) {
                 assert_eq!(f, 0);
                 delivered += w;
             }
@@ -299,7 +439,7 @@ mod tests {
         link.offer(1, 50);
         let mut got = [0u64; 2];
         for _ in 0..40 {
-            for (f, w) in link.tick() {
+            for (f, w) in tick(&mut link) {
                 got[f] += w;
             }
         }
@@ -313,7 +453,7 @@ mod tests {
         let mut link = FabricLink::new(LinkClass::RocketIo, 1.0, 0, 1);
         link.offer(0, 4);
         for _ in 0..10 {
-            link.tick();
+            tick(&mut link);
         }
         let r = link.report("test");
         // 4 words at 1/cycle: backlogged for the first 3 post-grant

@@ -10,19 +10,27 @@
 //! [`SimReport`] — which is the degeneracy contract the fabric tests
 //! pin.
 //!
-//! The run has two stages sharing one code path:
+//! A run has a value pass and a schedule, and every entry point shares
+//! the schedule path:
 //!
-//! 1. **Values.** Every block multiply runs on the real
-//!    [`BlockEngine`] (softfloat datapath) in the same global order as
-//!    the unsharded design, so results do not depend on the shard
-//!    count. Per-block cycle counts come from the same measurement.
-//! 2. **Schedule.** A cycle-stepped [`Design`] advances all shards and
-//!    links together: a shard only starts a block once its operands
-//!    crossed the fabric (else the cycle is attributed
-//!    `InputStarved`), and holds finished blocks when its return hop
-//!    is saturated (`OutputBackpressured`).
+//! * **Values.** Only [`FabricMm::run_in`] computes the product. Every
+//!   block multiply runs on the real [`BlockEngine`] (softfloat
+//!   datapath) in the same global order as the unsharded design, so
+//!   the values are shard-invariant; the one-shard bit-identity tests
+//!   pin them against [`LinearArrayMm`].
+//! * **Schedule.** The schedule's per-block inputs — first-block
+//!   cycles, MACs and hazards per block — come from one measured probe
+//!   block, `(g, h, z) = (0, 0, 0)` of the real operands. A
+//!   cycle-stepped [`Design`] then advances all shards and links
+//!   together: a shard only starts a block once its operands crossed
+//!   the fabric (else the cycle is attributed `InputStarved`), and
+//!   holds finished blocks when its return hop is saturated
+//!   (`OutputBackpressured`). [`FabricMm::timing_in`] runs the probe
+//!   and the schedule alone; it is what the SCALE rows report.
+//!   [`FabricMm::run_in`] feeds the same schedule from its own first
+//!   block and asserts that the value pass's totals agree.
 
-use fblas_core::mm::{BlockEngine, LinearArrayMm, MmParams};
+use fblas_core::mm::{BlockEngine, BlockStats, LinearArrayMm, MmParams};
 use fblas_core::mvm::DenseMatrix;
 use fblas_sim::{
     ClockDomain, Design, EdgeKind, Harness, Probe, ProbeId, SimReport, StallCause, Topology,
@@ -46,6 +54,27 @@ pub struct FabricMmOutcome {
     /// Hazard near-misses summed over every block multiply.
     pub hazard_violations: u64,
     /// Multiply-accumulates executed per shard, in shard order.
+    pub per_shard_macs: Vec<u64>,
+    /// Shard-cycles spent waiting for operands to cross the fabric.
+    pub starved_cycles: u64,
+    /// Shard-cycles spent holding results against a full return hop.
+    pub backpressured_cycles: u64,
+    /// Per-link traffic and congestion statistics.
+    pub links: Vec<LinkReport>,
+}
+
+/// Schedule-only result of a sharded matrix multiply: every field of
+/// a [`FabricMmOutcome`] except the product, derived from one probe
+/// block instead of the full value pass.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FabricMmTiming {
+    /// As [`FabricMmOutcome::report`].
+    pub report: SimReport,
+    /// The common compute clock.
+    pub clock: ClockDomain,
+    /// Hazard near-misses: blocks × the probe block's count.
+    pub hazard_violations: u64,
+    /// Multiply-accumulates per shard: its blocks × the probe block's.
     pub per_shard_macs: Vec<u64>,
     /// Shard-cycles spent waiting for operands to cross the fabric.
     pub starved_cycles: u64,
@@ -191,34 +220,32 @@ impl FabricMm {
     /// [`FabricMm::run`] with the fabric schedule stepping on the
     /// caller's harness (values always come from a private harness so
     /// they are identical under every execution backend).
+    ///
+    /// # Panics
+    /// Panics if the operands do not match the plan, or if the value
+    /// pass's MAC or hazard totals disagree with what the schedule
+    /// derives from the first block.
     pub fn run_in(
         &self,
         harness: &mut Harness,
         a: &DenseMatrix,
         b: &DenseMatrix,
     ) -> FabricMmOutcome {
+        self.check_operands(a, b);
         let plan = &self.plan;
-        let p = &self.params;
-        let (m, k) = (p.m, p.k);
-        let n = a.rows();
-        assert_eq!(n, plan.n, "matrix order must match the plan");
-        assert_eq!(a.cols(), n, "square matrices");
-        assert_eq!(b.rows(), n, "shape mismatch");
-        assert_eq!(b.cols(), n, "square matrices");
-        let nb = plan.nb();
+        let m = self.params.m;
+        let (n, nb) = (plan.n, plan.nb());
 
-        // Stage 1: values and per-block stats, in the unsharded
-        // design's global block order (pair-major, z inner) so the
-        // softfloat stream — and therefore every C bit — is invariant
-        // in the shard count.
-        let engine = BlockEngine::new(*p);
+        // Values and per-block stats, in the unsharded design's global
+        // block order (pair-major, z inner) so the softfloat stream —
+        // and therefore every C bit — is invariant in the shard count.
+        let engine = BlockEngine::new(self.params);
         let mut value_harness = Harness::new();
         let mut c_data = vec![0.0f64; n * n];
         let mut cblk = vec![0.0f64; m * m];
         let mut per_shard_macs = vec![0u64; plan.shards];
         let mut hazards = 0u64;
-        let mut first_block_cycles = 0u64;
-        let mut blocks_done = 0u64;
+        let mut first_block = None;
         for pair in 0..plan.pairs() {
             let owner = pair % plan.shards;
             let (g, h) = (pair / nb, pair % nb);
@@ -228,12 +255,9 @@ impl FabricMm {
                 let bblk = DenseMatrix::from_fn(m, m, |q, j| b.at(z * m + q, h * m + j));
                 let stats =
                     engine.multiply_accumulate_in(&mut value_harness, &ablk, &bblk, &mut cblk);
-                if blocks_done == 0 {
-                    first_block_cycles = stats.cycles;
-                }
+                first_block.get_or_insert(stats);
                 per_shard_macs[owner] += stats.macs;
                 hazards += stats.hazard_violations;
-                blocks_done += 1;
             }
             for i in 0..m {
                 for j in 0..m {
@@ -242,28 +266,92 @@ impl FabricMm {
             }
         }
 
-        // Stage 2: the fabric schedule.
-        let mut sched = MmSchedule::new(plan, p, &self.spec, first_block_cycles);
+        // The first block is the probe block, so the schedule's
+        // per-block extrapolation must reproduce the measured totals.
+        let timing = self.schedule(harness, first_block.expect("a plan has at least one block"));
+        assert_eq!(
+            per_shard_macs, timing.per_shard_macs,
+            "value-pass MACs disagree with the probe block's"
+        );
+        assert_eq!(
+            hazards, timing.hazard_violations,
+            "value-pass hazards disagree with the probe block's"
+        );
+        FabricMmOutcome {
+            c: DenseMatrix::from_rows(n, n, c_data),
+            report: timing.report,
+            clock: timing.clock,
+            hazard_violations: timing.hazard_violations,
+            per_shard_macs: timing.per_shard_macs,
+            starved_cycles: timing.starved_cycles,
+            backpressured_cycles: timing.backpressured_cycles,
+            links: timing.links,
+        }
+    }
+
+    /// Everything [`FabricMm::run_in`] reports except the product: one
+    /// probe block on a private harness, then the fabric schedule on
+    /// the caller's harness.
+    ///
+    /// # Panics
+    /// Panics if the operands do not match the plan.
+    pub fn timing_in(
+        &self,
+        harness: &mut Harness,
+        a: &DenseMatrix,
+        b: &DenseMatrix,
+    ) -> FabricMmTiming {
+        self.check_operands(a, b);
+        let m = self.params.m;
+        let ablk = DenseMatrix::from_fn(m, m, |i, q| a.at(i, q));
+        let bblk = DenseMatrix::from_fn(m, m, |q, j| b.at(q, j));
+        let mut cblk = vec![0.0f64; m * m];
+        let probe = BlockEngine::new(self.params).multiply_accumulate_in(
+            &mut Harness::new(),
+            &ablk,
+            &bblk,
+            &mut cblk,
+        );
+        self.schedule(harness, probe)
+    }
+
+    /// Both operands must be square of the plan's order.
+    fn check_operands(&self, a: &DenseMatrix, b: &DenseMatrix) {
+        let n = a.rows();
+        assert_eq!(n, self.plan.n, "matrix order must match the plan");
+        assert_eq!(a.cols(), n, "square matrices");
+        assert_eq!(b.rows(), n, "shape mismatch");
+        assert_eq!(b.cols(), n, "square matrices");
+    }
+
+    /// The fabric schedule and aggregate report, extrapolated from one
+    /// measured block: every block of the plan performs the probe's
+    /// MACs and hazards, and the first one takes its cycles.
+    fn schedule(&self, harness: &mut Harness, probe: BlockStats) -> FabricMmTiming {
+        let plan = &self.plan;
+        let p = &self.params;
+        let (m, k, n) = (p.m as u64, p.k as u64, plan.n as u64);
+        let nb = plan.nb() as u64;
+        let per_shard_macs: Vec<u64> = (0..plan.shards)
+            .map(|j| plan.pairs_of(j) as u64 * nb * probe.macs)
+            .collect();
+        let blocks = plan.pairs() as u64 * nb;
+
+        let mut sched = MmSchedule::new(plan, p, &self.spec, probe.cycles);
         let sched_report = harness.run(&mut sched);
 
         let macs_total: u64 = per_shard_macs.iter().sum();
-        let busy = per_shard_macs
-            .iter()
-            .map(|&mj| mj / k as u64)
-            .max()
-            .unwrap_or(0);
-        let report = SimReport {
-            cycles: sched_report.cycles,
-            flops: 2 * macs_total,
-            words_in: blocks_done * (2 * m * m) as u64,
-            words_out: (n * n) as u64,
-            busy_cycles: busy,
-        };
-        FabricMmOutcome {
-            c: DenseMatrix::from_rows(n, n, c_data),
-            report,
+        let busy = per_shard_macs.iter().map(|&mj| mj / k).max().unwrap_or(0);
+        FabricMmTiming {
+            report: SimReport {
+                cycles: sched_report.cycles,
+                flops: 2 * macs_total,
+                words_in: blocks * 2 * m * m,
+                words_out: n * n,
+                busy_cycles: busy,
+            },
             clock: self.clock,
-            hazard_violations: hazards,
+            hazard_violations: blocks * probe.hazard_violations,
             per_shard_macs,
             starved_cycles: sched.starved,
             backpressured_cycles: sched.backpressured,
@@ -292,7 +380,8 @@ struct ShardState {
     finished: bool,
 }
 
-/// The cycle-stepped fabric schedule behind [`FabricMm::run_in`].
+/// The cycle-stepped fabric schedule behind [`FabricMm::run_in`] and
+/// [`FabricMm::timing_in`].
 #[derive(Debug)]
 struct MmSchedule {
     net: RingNet,
@@ -427,10 +516,10 @@ impl Design for MmSchedule {
         // Move the fabric one cycle.
         let moved_before = self.net.progress_words();
         let deliveries = self.net.tick();
-        for (j, w) in deliveries.ingress {
+        for &(j, w) in &deliveries.ingress {
             self.shards[j].ingress_words += w;
         }
-        for (_, w) in deliveries.returned {
+        for &(_, w) in &deliveries.returned {
             self.returned_words += w;
         }
         if self.net.progress_words() > moved_before {

@@ -327,10 +327,10 @@ impl Design for MvmSchedule {
 
         let moved_before = self.net.progress_words();
         let deliveries = self.net.tick();
-        for (j, w) in deliveries.ingress {
+        for &(j, w) in &deliveries.ingress {
             self.slices[j].ingress_words += w;
         }
-        for (_, w) in deliveries.returned {
+        for &(_, w) in &deliveries.returned {
             self.returned_words += w;
         }
         if self.net.progress_words() > moved_before {
