@@ -93,9 +93,18 @@
 //! fabric-link-budget and scale-store rules. Without `--diff` it
 //! persists the next free `SCALE_<n>.json` in `--dir`; with `--diff
 //! <baseline>` it gates the fresh campaign against a committed store.
-//! A `--dir` that is not a directory, or a `--diff` baseline that does
-//! not load, exits 2 before the campaign runs. Byte-identical at any
-//! `--jobs` count and under every backend.
+//! Byte-identical at any `--jobs` count and under every backend.
+//!
+//! `run`, `serve` and `scale` share one driver: one parse of
+//! `--quick/--jobs/--backend/--dir` (plus `--diff` for `serve` and
+//! `scale`) that checks every argument before any simulation runs — a
+//! `--dir` that is not a directory, or a `--diff` baseline that does not
+//! load, exits 2 with no campaign banner — and one tail that either
+//! gates against the loaded baseline or writes the next trajectory
+//! point. `faults` likewise rejects an `--out` whose directory does not
+//! exist before its campaign runs, and `report`, `trend` and `analyze`
+//! exit 2 without touching `--doc` when `--dir` holds no
+//! `BENCH_*.json`.
 //!
 //! `analyze` runs the `fblas-check` channel-graph analyses — the
 //! deadlock-freedom proof and throughput/bandwidth cuts over every
@@ -104,10 +113,10 @@
 //! from the record's own parameters. Exit status is non-zero if any
 //! proof fails or any measured rate exceeds its bound.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use fblas_bench::cli;
+use fblas_bench::cli::{self, take_flag, take_value};
 use fblas_bench::fault_matrix::run_fault_matrix_with_jobs;
 use fblas_bench::paper_matrix::{run_matrix_telemetry, run_matrix_with_backend};
 use fblas_bench::scale_matrix::run_scale_matrix_with_jobs;
@@ -115,68 +124,166 @@ use fblas_bench::serve_matrix::run_serve_matrix_with_jobs;
 use fblas_check::graph::{cross_validate, topology_report};
 use fblas_check::{check_scale_set, check_serve_set, fabric_link_budget_report, Severity};
 use fblas_metrics::{
-    bench_file_name, diff_sets, faults as obs_faults, list_bench_files, next_bench_index,
-    next_serve_index, report as obs_report, scale as obs_scale, serve_file_name, RecordSet,
-    ScaleSet, ServeSet, WallClock,
+    diff_scale, diff_serve, diff_sets, faults as obs_faults, report as obs_report,
+    scale as obs_scale, ExactDiff, FaultSet, RecordSet, Row, ScaleSet, ServeSet, Store, StoreFile,
+    Trajectory, WallClock, BENCH, SCALE, SERVE, TELEM,
 };
 use fblas_sim::{ExecBackend, DEFAULT_TELEM_WINDOW};
 use fblas_telemetry::trend::TrendPoint;
-use fblas_telemetry::{render_trend_section, splice_trend_section, telem_file_name, TelemSet};
+use fblas_telemetry::{render_trend_section, splice_trend_section, TelemSet};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: observatory run  [--quick] [--jobs <n>] [--backend cycle|fast-forward|native] [--dir <dir>]\n\
-                                [--telemetry-window <cycles>] [--no-telemetry]\n\
-                observatory diff <baseline.json> [--quick] [--jobs <n>] [--backend <b>]\n\
-                observatory report [--dir <dir>] [--doc <markdown>]\n\
-                observatory trend  [--dir <dir>] [--doc <markdown>]\n\
-                observatory faults [--quick] [--seed <s>] [--jobs <n>] [--out <json>]\n\
-                observatory serve  [--quick] [--jobs <n>] [--backend <b>] [--dir <dir>]\n\
-                                [--diff <baseline.json>]\n\
-                observatory scale  [--quick] [--jobs <n>] [--backend <b>] [--dir <dir>]\n\
-                                [--diff <baseline.json>]\n\
-                observatory analyze [--dir <dir>] [--verbose]"
-    );
-    ExitCode::from(2)
+const USAGE: &str =
+    "usage: observatory run  [--quick] [--jobs <n>] [--backend cycle|fast-forward|native] [--dir <dir>]\n\
+                            [--telemetry-window <cycles>] [--no-telemetry]\n\
+            observatory diff <baseline.json> [--quick] [--jobs <n>] [--backend <b>]\n\
+            observatory report [--dir <dir>] [--doc <markdown>]\n\
+            observatory trend  [--dir <dir>] [--doc <markdown>]\n\
+            observatory faults [--quick] [--seed <s>] [--jobs <n>] [--out <json>]\n\
+            observatory serve  [--quick] [--jobs <n>] [--backend <b>] [--dir <dir>]\n\
+                            [--diff <baseline.json>]\n\
+            observatory scale  [--quick] [--jobs <n>] [--backend <b>] [--dir <dir>]\n\
+                            [--diff <baseline.json>]\n\
+            observatory analyze [--dir <dir>] [--verbose]";
+
+/// Why a subcommand stopped before its gate. Either way the exit
+/// status is 2, which CI tells apart from a failed gate (1).
+enum Stop {
+    /// Malformed command line: print the usage text.
+    Usage,
+    /// Bad argument value or IO failure: print the message.
+    Error(String),
 }
 
-/// Unwrap a CLI parse result or exit 2 — the one funnel every usage
-/// error goes through, so `run`, `diff`, `faults` and `serve` cannot
-/// drift in how they reject `--jobs 0` or an unknown `--backend`.
-fn or_usage_error<T>(r: Result<T, String>) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
+impl From<String> for Stop {
+    fn from(e: String) -> Self {
+        Stop::Error(e)
+    }
 }
 
-/// Parse `--jobs` with the shared validator, exiting 2 on bad input.
-fn take_jobs(args: &mut Vec<String>) -> usize {
-    or_usage_error(cli::take_jobs(args))
+/// A subcommand's exit status, or why it stopped early. Every usage and
+/// IO error funnels through `main`, so no subcommand can drift in how it
+/// rejects `--jobs 0` or an unknown `--backend`.
+type Outcome = Result<ExitCode, Stop>;
+
+/// Reject leftover arguments.
+fn no_stray(args: &[String]) -> Result<(), Stop> {
+    if args.is_empty() {
+        Ok(())
+    } else {
+        Err(Stop::Usage)
+    }
 }
 
-/// Parse `--backend` with the shared validator, exiting 2 on bad input.
-fn take_backend(args: &mut Vec<String>) -> ExecBackend {
-    or_usage_error(cli::take_backend(args))
+/// `--dir` (default: the current directory).
+fn take_dir(args: &mut Vec<String>) -> Result<PathBuf, Stop> {
+    Ok(PathBuf::from(
+        take_value(args, "--dir")?.unwrap_or_else(|| ".".into()),
+    ))
 }
 
-/// Parse `--seed` with the shared validator, exiting 2 on bad input.
-fn take_seed(args: &mut Vec<String>) -> u64 {
-    or_usage_error(cli::take_seed(args))
+/// The surface `run`, `serve` and `scale` share, checked before any
+/// simulation runs.
+struct Campaign<B> {
+    quick: bool,
+    jobs: usize,
+    backend: ExecBackend,
+    dir: PathBuf,
+    /// The `--diff` baseline and its path, already loaded.
+    baseline: Option<(B, PathBuf)>,
 }
 
-/// Parse the telemetry flags with the shared validator.
-fn take_telemetry(args: &mut Vec<String>) -> Option<u64> {
-    or_usage_error(cli::take_telemetry(args, DEFAULT_TELEM_WINDOW))
+impl<B: StoreFile> Campaign<B> {
+    /// Take `--quick/--jobs/--backend/--dir` out of `args`, which must
+    /// then be empty (subcommand-specific flags, `--diff` among them,
+    /// are taken first), and check the lot: `--dir` must be a directory
+    /// and the `diff` baseline, if any, must load.
+    fn parse(mut args: Vec<String>, diff: Option<String>) -> Result<Self, Stop> {
+        let quick = take_flag(&mut args, "--quick");
+        let jobs = cli::take_jobs(&mut args)?;
+        let backend = cli::take_backend(&mut args)?;
+        let dir = take_dir(&mut args)?;
+        no_stray(&args)?;
+        if !dir.is_dir() {
+            return Err(format!("--dir {} is not a directory", dir.display()).into());
+        }
+        let baseline = diff
+            .map(|path| {
+                let path = PathBuf::from(path);
+                B::load(&path).map(|set| (set, path))
+            })
+            .transpose()?;
+        Ok(Self {
+            quick,
+            jobs,
+            backend,
+            dir,
+            baseline,
+        })
+    }
+
+    /// Print the "running the …" banner for `what`.
+    fn announce(&self, what: &str) {
+        eprintln!(
+            "observatory: running the {} {what} on {} job(s), {} backend...",
+            if self.quick { "quick" } else { "full" },
+            self.jobs,
+            self.backend
+        );
+    }
 }
 
-/// Parse `--flag <value>` with the shared helper, exiting 2 on a flag
-/// missing its value.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    or_usage_error(cli::take_value(args, flag))
+impl<R: Row> Campaign<Store<R>> {
+    /// The tail `serve` and `scale` share: gate `set` against the
+    /// `--diff` baseline with `diff` (exit 1 on drift), or save it as
+    /// the next point of `trajectory` in `--dir`.
+    fn finish(
+        &self,
+        set: &Store<R>,
+        trajectory: Trajectory,
+        noun: &str,
+        diff: fn(&Store<R>, &Store<R>) -> ExactDiff,
+    ) -> Outcome {
+        let Some((baseline, path)) = &self.baseline else {
+            let path = self
+                .dir
+                .join(trajectory.file_name(trajectory.next_index(&self.dir)));
+            set.save(&path)?;
+            println!("wrote {} ({} {noun})", path.display(), set.records.len());
+            return Ok(ExitCode::SUCCESS);
+        };
+        let diff = diff(set, baseline);
+        print!("{}", diff.render());
+        if diff.pass() {
+            println!(
+                "observatory {}: PASS (baseline {})",
+                diff.label,
+                path.display()
+            );
+            Ok(ExitCode::SUCCESS)
+        } else {
+            println!(
+                "observatory {}: FAIL — campaign drifted from {}",
+                diff.label,
+                path.display()
+            );
+            Ok(ExitCode::FAILURE)
+        }
+    }
 }
 
-use cli::take_flag;
+/// Every `BENCH_*.json` point in `dir`, oldest first. None, or one that
+/// does not load, is an error, so `report`, `trend` and `analyze` stop
+/// before touching anything.
+fn load_bench_points(dir: &Path) -> Result<Vec<(u64, RecordSet)>, Stop> {
+    let files = BENCH.list(dir);
+    if files.is_empty() {
+        return Err(format!("no BENCH_*.json found in {}", dir.display()).into());
+    }
+    Ok(files
+        .into_iter()
+        .map(|(index, path)| RecordSet::load(&path).map(|set| (index, set)))
+        .collect::<Result<_, _>>()?)
+}
 
 fn measure(
     quick: bool,
@@ -215,35 +322,21 @@ fn measure(
     (set, wall, telem)
 }
 
-fn cmd_run(mut args: Vec<String>) -> ExitCode {
-    let quick = take_flag(&mut args, "--quick");
-    let jobs = take_jobs(&mut args);
-    let backend = take_backend(&mut args);
-    let telemetry = take_telemetry(&mut args);
-    let dir = PathBuf::from(take_value(&mut args, "--dir").unwrap_or_else(|| ".".into()));
-    if !args.is_empty() {
-        return usage();
-    }
-    let (set, wall, telem) = measure(quick, jobs, backend, telemetry);
-    let index = next_bench_index(&dir);
-    let path = dir.join(bench_file_name(index));
-    if let Err(e) = set.save(&path) {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
-    let sidecar = dir.join(format!("BENCH_{index:04}.wallclock.json"));
-    if let Err(e) = std::fs::write(&sidecar, wall.to_json_string()) {
-        eprintln!("error: cannot write {}: {e}", sidecar.display());
-        return ExitCode::from(2);
-    }
+fn cmd_run(mut args: Vec<String>) -> Outcome {
+    let telemetry = cli::take_telemetry(&mut args, DEFAULT_TELEM_WINDOW)?;
+    let campaign = Campaign::<RecordSet>::parse(args, None)?;
+    let (set, wall, telem) = measure(campaign.quick, campaign.jobs, campaign.backend, telemetry);
+    let dir = &campaign.dir;
+    let index = BENCH.next_index(dir);
+    let path = dir.join(BENCH.file_name(index));
+    let sidecar = dir.join(BENCH.wallclock_name(index));
+    set.save(&path)?;
+    wall.save(&sidecar)?;
     println!("wrote {}", path.display());
     println!("wrote {} (not for committing)", sidecar.display());
     if let Some(telem) = telem {
-        let telem_path = dir.join(telem_file_name(index));
-        if let Err(e) = telem.save(&telem_path) {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+        let telem_path = dir.join(TELEM.file_name(index));
+        telem.save(&telem_path)?;
         println!(
             "wrote {} ({} run(s))",
             telem_path.display(),
@@ -259,10 +352,10 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
         .collect();
     if failing.is_empty() {
         println!("paper parity: all figures within tolerance");
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         println!("paper parity: OUT OF TOLERANCE: {}", failing.join(", "));
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -272,8 +365,8 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
 /// `<baseline>.wallclock.json`, when present — must parse with
 /// consistent telemetry-config fields. Returns an error message when
 /// either check fails.
-fn validate_sidecars(wall: &WallClock, baseline_path: &std::path::Path) -> Result<(), String> {
-    let own = WallClock::from_json_str(&wall.to_json_string())
+fn validate_sidecars(wall: &WallClock, baseline_path: &Path) -> Result<(), String> {
+    let own = WallClock::decode(&wall.encode())
         .map_err(|e| format!("own sidecar failed validation: {e}"))?;
     if own.telemetry_window != wall.telemetry_window {
         return Err("own sidecar telemetry config did not round-trip".to_string());
@@ -293,27 +386,18 @@ fn validate_sidecars(wall: &WallClock, baseline_path: &std::path::Path) -> Resul
     Ok(())
 }
 
-fn cmd_diff(mut args: Vec<String>) -> ExitCode {
+fn cmd_diff(mut args: Vec<String>) -> Outcome {
     let quick = take_flag(&mut args, "--quick");
-    let jobs = take_jobs(&mut args);
-    let backend = take_backend(&mut args);
-    let telemetry = take_telemetry(&mut args);
-    if args.len() != 1 {
-        return usage();
-    }
-    let baseline_path = PathBuf::from(&args[0]);
-    let baseline = match RecordSet::load(&baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+    let jobs = cli::take_jobs(&mut args)?;
+    let backend = cli::take_backend(&mut args)?;
+    let telemetry = cli::take_telemetry(&mut args, DEFAULT_TELEM_WINDOW)?;
+    let [baseline_path] = args.as_slice() else {
+        return Err(Stop::Usage);
     };
+    let baseline_path = PathBuf::from(baseline_path);
+    let baseline = RecordSet::load(&baseline_path)?;
     let (run, wall, _telem) = measure(quick, jobs, backend, telemetry);
-    if let Err(e) = validate_sidecars(&wall, &baseline_path) {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
+    validate_sidecars(&wall, &baseline_path)?;
     let report = diff_sets(&baseline, &run);
     print!("{}", report.render());
     println!("\nPaper-parity scoreboard (this run):\n");
@@ -323,77 +407,60 @@ fn cmd_diff(mut args: Vec<String>) -> ExitCode {
             "\nobservatory diff: PASS (baseline {})",
             baseline_path.display()
         );
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         println!(
             "\nobservatory diff: FAIL — {} regression(s) vs {}",
             report.regressions(),
             baseline_path.display()
         );
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
-fn cmd_report(mut args: Vec<String>) -> ExitCode {
-    let dir = PathBuf::from(take_value(&mut args, "--dir").unwrap_or_else(|| ".".into()));
-    let doc =
-        PathBuf::from(take_value(&mut args, "--doc").unwrap_or_else(|| "EXPERIMENTS.md".into()));
-    if !args.is_empty() {
-        return usage();
-    }
-    let mut labels = Vec::new();
-    let mut runs = Vec::new();
-    for (index, path) in list_bench_files(&dir) {
-        match RecordSet::load(&path) {
-            Ok(set) => {
-                labels.push(format!("BENCH_{index:04}"));
-                runs.push(set);
-            }
-            Err(e) => {
-                eprintln!("error: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
+/// `--dir` and `--doc` (default `EXPERIMENTS.md`), the whole command
+/// line of `report` and `trend`.
+fn take_dir_and_doc(mut args: Vec<String>) -> Result<(PathBuf, PathBuf), Stop> {
+    let dir = take_dir(&mut args)?;
+    let doc = take_value(&mut args, "--doc")?.unwrap_or_else(|| "EXPERIMENTS.md".into());
+    no_stray(&args)?;
+    Ok((dir, PathBuf::from(doc)))
+}
+
+/// Overwrite the document `doc` with `text`.
+fn write_doc(doc: &Path, text: &str) -> Result<(), String> {
+    std::fs::write(doc, text).map_err(|e| format!("cannot write {}: {e}", doc.display()))
+}
+
+fn cmd_report(args: Vec<String>) -> Outcome {
+    let (dir, doc) = take_dir_and_doc(args)?;
+    let (labels, runs): (Vec<String>, Vec<RecordSet>) = load_bench_points(&dir)?
+        .into_iter()
+        .map(|(index, set)| (BENCH.label(index), set))
+        .unzip();
     let section = obs_report::render_section(&labels, &runs);
     let document = std::fs::read_to_string(&doc).unwrap_or_default();
     let mut spliced = obs_report::splice_section(&document, &section);
     let faults_path = dir.join("FAULTS.json");
     let mut fault_note = String::new();
     if faults_path.exists() {
-        match fblas_metrics::FaultSet::load(&faults_path) {
-            Ok(set) => {
-                let section = obs_faults::render_fault_section(&set);
-                spliced = obs_faults::splice_fault_section(&spliced, &section);
-                fault_note = format!(" + fault coverage ({} trials)", set.records.len());
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        let set = FaultSet::load(&faults_path)?;
+        let section = obs_faults::render_fault_section(&set);
+        spliced = obs_faults::splice_fault_section(&spliced, &section);
+        fault_note = format!(" + fault coverage ({} trials)", set.records.len());
     }
     let mut scale_note = String::new();
-    if let Some((index, path)) = obs_scale::list_scale_files(&dir).last() {
-        match ScaleSet::load(path) {
-            Ok(set) => {
-                let section = obs_scale::render_scale_section(&set);
-                spliced = obs_scale::splice_scale_section(&spliced, &section);
-                scale_note = format!(
-                    " + scaling ladder (SCALE_{index:04}, {} rows)",
-                    set.records.len()
-                );
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
+    if let Some((index, path)) = SCALE.list(&dir).pop() {
+        let set = ScaleSet::load(&path)?;
+        let section = obs_scale::render_scale_section(&set);
+        spliced = obs_scale::splice_scale_section(&spliced, &section);
+        scale_note = format!(
+            " + scaling ladder ({}, {} rows)",
+            SCALE.label(index),
+            set.records.len()
+        );
     }
-    if let Err(e) = std::fs::write(&doc, &spliced) {
-        eprintln!("error: cannot write {}: {e}", doc.display());
-        return ExitCode::from(2);
-    }
+    write_doc(&doc, &spliced)?;
     println!(
         "spliced {} run(s){}{} into {} ({} bytes)",
         runs.len(),
@@ -402,7 +469,7 @@ fn cmd_report(mut args: Vec<String>) -> ExitCode {
         doc.display(),
         spliced.len()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `trend`: load the committed `BENCH_*.json` trajectory plus each
@@ -410,56 +477,26 @@ fn cmd_report(mut args: Vec<String>) -> ExitCode {
 /// render the telemetry dashboard and splice it into the document
 /// between the telemetry markers. Non-zero exit if any efficiency row
 /// of the latest point is outside the paper-model tolerance.
-fn cmd_trend(mut args: Vec<String>) -> ExitCode {
-    let dir = PathBuf::from(take_value(&mut args, "--dir").unwrap_or_else(|| ".".into()));
-    let doc =
-        PathBuf::from(take_value(&mut args, "--doc").unwrap_or_else(|| "EXPERIMENTS.md".into()));
-    if !args.is_empty() {
-        return usage();
-    }
-    let bench_files = list_bench_files(&dir);
-    if bench_files.is_empty() {
-        eprintln!("error: no BENCH_*.json found in {}", dir.display());
-        return ExitCode::from(2);
-    }
+fn cmd_trend(args: Vec<String>) -> Outcome {
+    let (dir, doc) = take_dir_and_doc(args)?;
     let mut points = Vec::new();
-    let mut with_telem = 0usize;
-    for (index, path) in bench_files {
-        let records = match RecordSet::load(&path) {
-            Ok(set) => set,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let telem_path = dir.join(telem_file_name(index));
+    for (index, records) in load_bench_points(&dir)? {
+        let telem_path = dir.join(TELEM.file_name(index));
         let telem = if telem_path.exists() {
-            match TelemSet::load(&telem_path) {
-                Ok(set) => {
-                    with_telem += 1;
-                    Some(set)
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+            Some(TelemSet::load(&telem_path)?)
         } else {
             None
         };
         points.push(TrendPoint {
-            label: format!("BENCH_{index:04}"),
+            label: BENCH.label(index),
             records,
             telem,
         });
     }
+    let with_telem = points.iter().filter(|p| p.telem.is_some()).count();
     let (section, out_of_tol) = render_trend_section(&points);
     let document = std::fs::read_to_string(&doc).unwrap_or_default();
-    let spliced = splice_trend_section(&document, &section);
-    if let Err(e) = std::fs::write(&doc, &spliced) {
-        eprintln!("error: cannot write {}: {e}", doc.display());
-        return ExitCode::from(2);
-    }
+    write_doc(&doc, &splice_trend_section(&document, &section))?;
     println!(
         "spliced telemetry dashboard ({} point(s), {} with telemetry) into {}",
         points.len(),
@@ -468,20 +505,24 @@ fn cmd_trend(mut args: Vec<String>) -> ExitCode {
     );
     if out_of_tol == 0 {
         println!("efficiency model: every streaming design within tolerance of n/(n+α)");
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         println!("efficiency model: FAIL — {out_of_tol} design(s) outside tolerance");
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
-fn cmd_faults(mut args: Vec<String>) -> ExitCode {
+fn cmd_faults(mut args: Vec<String>) -> Outcome {
     let quick = take_flag(&mut args, "--quick");
-    let seed = take_seed(&mut args);
-    let jobs = take_jobs(&mut args);
-    let out = PathBuf::from(take_value(&mut args, "--out").unwrap_or_else(|| "FAULTS.json".into()));
-    if !args.is_empty() {
-        return usage();
+    let seed = cli::take_seed(&mut args)?;
+    let jobs = cli::take_jobs(&mut args)?;
+    let out =
+        PathBuf::from(take_value(&mut args, "--out")?.unwrap_or_else(|| "FAULTS.json".into()));
+    no_stray(&args)?;
+    if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
+        if !parent.is_dir() {
+            return Err(format!("--out directory {} does not exist", parent.display()).into());
+        }
     }
     eprintln!(
         "observatory: running the {} fault campaign (seed {}) on {} job(s)...",
@@ -490,10 +531,7 @@ fn cmd_faults(mut args: Vec<String>) -> ExitCode {
         jobs
     );
     let set = run_fault_matrix_with_jobs(seed, quick, jobs);
-    if let Err(e) = set.save(&out) {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
+    set.save(&out)?;
     println!("wrote {} ({} trial(s))\n", out.display(), set.records.len());
     print!("{}", obs_faults::render_fault_scoreboard(&set));
     println!("\nGraceful degradation:\n");
@@ -501,10 +539,10 @@ fn cmd_faults(mut args: Vec<String>) -> ExitCode {
     let silent = set.covered_silent_corruptions();
     if silent == 0 {
         println!("\nfault coverage: zero silent corruptions on ABFT-covered kernels");
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         println!("\nfault coverage: FAIL — {silent} silent corruption(s) on ABFT-covered kernels");
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -513,27 +551,13 @@ fn cmd_faults(mut args: Vec<String>) -> ExitCode {
 /// topology, then cross-validate every committed `BENCH_*.json` against
 /// the static bounds. Exit status is non-zero on any error, so CI can
 /// gate on the soundness of the model.
-fn cmd_analyze(mut args: Vec<String>) -> ExitCode {
-    let dir = PathBuf::from(take_value(&mut args, "--dir").unwrap_or_else(|| ".".into()));
+fn cmd_analyze(mut args: Vec<String>) -> Outcome {
+    let dir = take_dir(&mut args)?;
     let verbose = take_flag(&mut args, "--verbose");
-    if !args.is_empty() {
-        return usage();
-    }
+    no_stray(&args)?;
+    let points = load_bench_points(&dir)?;
     let mut reports = topology_report();
-    let bench_files = list_bench_files(&dir);
-    if bench_files.is_empty() {
-        eprintln!("error: no BENCH_*.json found in {}", dir.display());
-        return ExitCode::from(2);
-    }
-    for (_index, path) in bench_files {
-        match RecordSet::load(&path) {
-            Ok(set) => reports.push(cross_validate(&set)),
-            Err(e) => {
-                eprintln!("error: cannot load {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
+    reports.extend(points.iter().map(|(_, set)| cross_validate(set)));
     let mut errors = 0;
     for report in &reports {
         print!("{}", report.render(verbose));
@@ -544,34 +568,23 @@ fn cmd_analyze(mut args: Vec<String>) -> ExitCode {
         reports.len(),
         errors
     );
-    if errors == 0 {
+    Ok(if errors == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// `serve`: run the BLAS-as-a-service campaign on the worker pool,
-/// persist the next free `SERVE_<n>.json`, re-check the store's
-/// conservation/amortization rules, and — with `--diff <baseline>` —
-/// gate the fresh campaign byte-for-byte against a committed store.
+/// re-check the store's conservation/amortization rules, then persist
+/// the next free `SERVE_<n>.json` or — with `--diff <baseline>` — gate
+/// the fresh campaign byte-for-byte against a committed store.
 /// Exit status: 2 on usage/IO errors, 1 on any failed gate.
-fn cmd_serve(mut args: Vec<String>) -> ExitCode {
-    let quick = take_flag(&mut args, "--quick");
-    let jobs = take_jobs(&mut args);
-    let backend = take_backend(&mut args);
-    let dir = PathBuf::from(take_value(&mut args, "--dir").unwrap_or_else(|| ".".into()));
-    let baseline = take_value(&mut args, "--diff").map(PathBuf::from);
-    if !args.is_empty() {
-        return usage();
-    }
-    eprintln!(
-        "observatory: running the {} serving campaign on {} job(s), {} backend...",
-        if quick { "quick" } else { "full" },
-        jobs,
-        backend
-    );
-    let set = run_serve_matrix_with_jobs(quick, jobs, backend);
+fn cmd_serve(mut args: Vec<String>) -> Outcome {
+    let diff = take_value(&mut args, "--diff")?;
+    let campaign = Campaign::<ServeSet>::parse(args, diff)?;
+    campaign.announce("serving campaign");
+    let set = run_serve_matrix_with_jobs(campaign.quick, campaign.jobs, campaign.backend);
     for r in &set.records {
         println!(
             "{:24} offered {:5}  completed {:5}  rejected {:4}  in-flight {:3}  \
@@ -593,77 +606,21 @@ fn cmd_serve(mut args: Vec<String>) -> ExitCode {
     print!("{}", report.render(false));
     if report.count(Severity::Error) > 0 {
         println!("observatory serve: FAIL — conservation/amortization rules violated");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    if let Some(baseline_path) = baseline {
-        let baseline = match ServeSet::load(&baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let diff = fblas_metrics::diff_serve(&set, &baseline);
-        print!("{}", diff.render());
-        if !diff.pass() {
-            println!(
-                "observatory serve: FAIL — campaign drifted from {}",
-                baseline_path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "observatory serve: PASS (baseline {})",
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let index = next_serve_index(&dir);
-    let path = dir.join(serve_file_name(index));
-    if let Err(e) = set.save(&path) {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
-    println!("wrote {} ({} cell(s))", path.display(), set.records.len());
-    ExitCode::SUCCESS
+    campaign.finish(&set, SERVE, "cell(s)", diff_serve)
 }
 
 /// `scale`: run the multi-FPGA scaling campaign on the worker pool,
 /// gate every row against the §6.4 projection and the `fblas-check`
-/// fabric rules, persist the next free `SCALE_<n>.json`, and — with
+/// fabric rules, then persist the next free `SCALE_<n>.json` or — with
 /// `--diff <baseline>` — gate the fresh campaign against a committed
 /// store. Exit status: 2 on usage/IO errors, 1 on any failed gate.
-fn cmd_scale(mut args: Vec<String>) -> ExitCode {
-    let quick = take_flag(&mut args, "--quick");
-    let jobs = take_jobs(&mut args);
-    let backend = take_backend(&mut args);
-    let dir = PathBuf::from(take_value(&mut args, "--dir").unwrap_or_else(|| ".".into()));
-    let baseline_path = take_value(&mut args, "--diff").map(PathBuf::from);
-    if !args.is_empty() {
-        return usage();
-    }
-    // Reject a bad `--dir` or `--diff` before the campaign runs, not after.
-    if !dir.is_dir() {
-        eprintln!("error: --dir {} is not a directory", dir.display());
-        return ExitCode::from(2);
-    }
-    let baseline = match baseline_path
-        .map(|path| ScaleSet::load(&path).map(|set| (set, path)))
-        .transpose()
-    {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    eprintln!(
-        "observatory: running the {} scaling campaign on {} job(s), {} backend...",
-        if quick { "quick" } else { "full" },
-        jobs,
-        backend
-    );
-    let set = run_scale_matrix_with_jobs(quick, jobs, backend);
+fn cmd_scale(mut args: Vec<String>) -> Outcome {
+    let diff = take_value(&mut args, "--diff")?;
+    let campaign = Campaign::<ScaleSet>::parse(args, diff)?;
+    campaign.announce("scaling campaign");
+    let set = run_scale_matrix_with_jobs(campaign.quick, campaign.jobs, campaign.backend);
     for r in &set.records {
         println!(
             "{:14} n {:4}  cycles {:9}  {:8.1} MFLOPS  speedup {:6.3}  eff {:5.3}  \
@@ -687,41 +644,16 @@ fn cmd_scale(mut args: Vec<String>) -> ExitCode {
     print!("{}", report.render(false));
     if budgets.count(Severity::Error) + report.count(Severity::Error) > 0 {
         println!("observatory scale: FAIL — fabric budget/soundness rules violated");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    if let Some((baseline, baseline_path)) = baseline {
-        let diff = fblas_metrics::diff_scale(&set, &baseline);
-        print!("{}", diff.render());
-        if !diff.pass() {
-            println!(
-                "observatory scale: FAIL — campaign drifted from {}",
-                baseline_path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "observatory scale: PASS (baseline {})",
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let index = obs_scale::next_scale_index(&dir);
-    let path = dir.join(obs_scale::scale_file_name(index));
-    if let Err(e) = set.save(&path) {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
-    println!("wrote {} ({} row(s))", path.display(), set.records.len());
-    ExitCode::SUCCESS
+    campaign.finish(&set, SCALE, "row(s)", diff_scale)
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        return usage();
-    }
-    let cmd = args.remove(0);
-    match cmd.as_str() {
+    let mut args = std::env::args().skip(1);
+    let cmd = args.next().unwrap_or_default();
+    let args: Vec<String> = args.collect();
+    let outcome = match cmd.as_str() {
         "run" => cmd_run(args),
         "diff" => cmd_diff(args),
         "report" => cmd_report(args),
@@ -730,6 +662,13 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(args),
         "scale" => cmd_scale(args),
         "analyze" => cmd_analyze(args),
-        _ => usage(),
-    }
+        _ => Err(Stop::Usage),
+    };
+    outcome.unwrap_or_else(|stop| {
+        match stop {
+            Stop::Usage => eprintln!("{USAGE}"),
+            Stop::Error(e) => eprintln!("error: {e}"),
+        }
+        ExitCode::from(2)
+    })
 }

@@ -10,7 +10,7 @@
 
 use std::path::PathBuf;
 
-use fblas_metrics::{RecordSet, RunRecord, StallBreakdown};
+use fblas_metrics::{RecordSet, RunRecord, StallBreakdown, StoreFile};
 use fblas_sim::Harness;
 
 /// Result of scanning the process arguments for `--json`, plus the

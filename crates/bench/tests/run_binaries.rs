@@ -6,6 +6,8 @@
 
 use std::process::Command;
 
+use fblas_metrics::StoreFile;
+
 fn run(bin: &str) {
     let status = Command::new(bin)
         .status()
@@ -168,55 +170,97 @@ fn observatory_rejects_bad_jobs_values() {
     }
 }
 
-/// `scale` must reject a `--dir` that is not a directory and a `--diff`
-/// baseline that does not load before running the campaign: exit 2,
-/// no `SCALE_*.json` written, and no campaign banner on stderr.
+/// Every campaign checks its arguments before it runs: a `--dir` that
+/// is not a directory, a `--diff` baseline that does not load (missing,
+/// or nested too deep to parse) and a `faults --out` in a missing
+/// directory all exit 2 with an error, no campaign banner and no store
+/// written.
 #[test]
-fn observatory_scale_rejects_bad_dir_and_baseline_before_running() {
+fn observatory_rejects_bad_arguments_before_running() {
     let observatory = env!("CARGO_BIN_EXE_observatory");
-    let dir = std::env::temp_dir().join("fblas_observatory_scale_fail_fast");
+    let dir = std::env::temp_dir().join("fblas_observatory_fail_fast");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("temp dir");
     let missing_dir = dir.join("nonexistent").join("x");
     let missing_baseline = dir.join("nonexistent.json");
-    let cases = [
-        vec!["--dir".to_string(), missing_dir.display().to_string()],
-        vec![
-            "--dir".to_string(),
-            dir.display().to_string(),
-            "--diff".to_string(),
-            missing_baseline.display().to_string(),
-        ],
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(1_000_000)).expect("deep baseline");
+    let (dir_s, missing) = (dir.display().to_string(), missing_dir.display().to_string());
+    let bad_out = missing_dir.join("F.json").display().to_string();
+    let (no_base, deep_s) = (
+        missing_baseline.display().to_string(),
+        deep.display().to_string(),
+    );
+    let cases: [&[&str]; 8] = [
+        &["run", "--quick", "--dir", &missing],
+        &["serve", "--quick", "--dir", &missing],
+        &["serve", "--quick", "--dir", &dir_s, "--diff", &no_base],
+        &["faults", "--quick", "--out", &bad_out],
+        &["scale", "--quick", "--dir", &missing],
+        &["scale", "--quick", "--dir", &dir_s, "--diff", &no_base],
+        &["scale", "--quick", "--dir", &dir_s, "--diff", &deep_s],
+        &["serve", "--quick", "--dir", &dir_s, "--diff", &deep_s],
     ];
-    for extra in &cases {
+    for args in cases {
         let output = Command::new(observatory)
-            .args(["scale", "--quick"])
-            .args(extra)
+            .args(args)
             .output()
             .expect("failed to launch observatory");
         assert_eq!(
             output.status.code(),
             Some(2),
-            "{extra:?}: {:?}",
+            "{args:?}: {:?}",
             output.status
         );
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(
-            !stderr.contains("scaling campaign"),
-            "{extra:?}: the campaign ran first; stderr was {stderr:?}"
+            !stderr.contains("running the"),
+            "{args:?}: the campaign ran first; stderr was {stderr:?}"
         );
-        assert!(
-            stderr.contains("error:"),
-            "{extra:?}: stderr was {stderr:?}"
-        );
+        assert!(stderr.contains("error:"), "{args:?}: stderr was {stderr:?}");
     }
     assert!(!missing_dir.exists());
     let written: Vec<_> = std::fs::read_dir(&dir)
         .expect("temp dir")
         .filter_map(Result::ok)
-        .filter(|e| e.file_name().to_string_lossy().starts_with("SCALE_"))
+        .map(|e| e.file_name())
+        .filter(|name| name != "deep.json")
         .collect();
     assert!(written.is_empty(), "wrote {written:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `report` must not splice an empty scoreboard over the committed one:
+/// with no `BENCH_*.json` in `--dir` (missing or empty directory) it
+/// exits 2 and leaves `--doc` byte-untouched, like `trend` and
+/// `analyze`.
+#[test]
+fn observatory_report_leaves_doc_untouched_without_bench_points() {
+    let observatory = env!("CARGO_BIN_EXE_observatory");
+    let dir = std::env::temp_dir().join("fblas_observatory_report_guard");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(dir.join("empty")).expect("temp dir");
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
+    let before = std::fs::read(committed).expect("EXPERIMENTS.md");
+    let doc = dir.join("EXPERIMENTS.md");
+    std::fs::write(&doc, &before).expect("doc copy");
+    for cmd in ["report", "trend", "analyze"] {
+        for bench_dir in [dir.join("nonexistent"), dir.join("empty")] {
+            let mut command = Command::new(observatory);
+            command.args([cmd, "--dir"]).arg(&bench_dir);
+            if cmd != "analyze" {
+                command.arg("--doc").arg(&doc);
+            }
+            let output = command.output().expect("failed to launch observatory");
+            assert_eq!(output.status.code(), Some(2), "{cmd} {bench_dir:?}");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(stderr.contains("no BENCH_*.json"), "{cmd}: {stderr:?}");
+            assert!(
+                std::fs::read(&doc).expect("doc copy") == before,
+                "{cmd} {bench_dir:?} rewrote --doc"
+            );
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

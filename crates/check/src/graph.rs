@@ -41,7 +41,7 @@ use fblas_core::mm::{HierarchicalMm, HierarchicalParams, LinearArrayMm, MmParams
 use fblas_core::mvm::{ColMajorMvm, MvmParams, RowMajorMvm};
 use fblas_core::reduce::SingleAdderReducer;
 use fblas_fabric::{FabricMm, FabricMvm, MmShardPlan, MvmShardPlan, Orientation};
-use fblas_metrics::{RecordKind, RecordSet, RunRecord};
+use fblas_metrics::{RecordKind, RecordSet, RunRecord, StoreFile};
 use fblas_sim::{EdgeKind, NodeRole, Topology};
 use fblas_sparse::{SpmvDesign, SpmvParams};
 
@@ -611,9 +611,7 @@ pub fn cross_validate(set: &RecordSet) -> Report {
 
 /// [`cross_validate`] over a BENCH JSON file on disk.
 pub fn bench_cross_validation_report(path: &Path) -> Result<Report, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    Ok(cross_validate(&RecordSet::from_json_str(&text)?))
+    Ok(cross_validate(&RecordSet::load(path)?))
 }
 
 #[cfg(test)]

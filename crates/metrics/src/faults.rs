@@ -12,14 +12,18 @@
 //! of `EXPERIMENTS.md` splices independently of the paper-parity section
 //! (whose byte-exact golden test must not be disturbed).
 
-use std::path::Path;
-
-use crate::json::Json;
+use crate::json::{Json, Members};
 use crate::report::splice_between;
+use crate::store::{rows, Envelope, StoreFile};
 
 /// Schema version of fault-coverage documents (independent of the
 /// performance-record schema).
 pub const FAULT_SCHEMA_VERSION: u64 = 1;
+
+const ENVELOPE: Envelope = Envelope {
+    kind: "faults",
+    version: FAULT_SCHEMA_VERSION,
+};
 
 /// Marker opening the generated fault section of `EXPERIMENTS.md`.
 pub const FAULT_SECTION_BEGIN: &str = "<!-- observatory:faults:begin -->";
@@ -70,32 +74,17 @@ impl FaultRecord {
 
     /// Parse a record serialized by [`FaultRecord::to_json`].
     pub fn from_json(doc: &Json) -> Result<Self, String> {
-        let str_field = |k: &str| -> Result<String, String> {
-            doc.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("fault record missing '{k}'"))
-        };
-        let u64_field = |k: &str| -> Result<u64, String> {
-            doc.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("fault record missing '{k}'"))
-        };
-        let bool_field = |k: &str| -> Result<bool, String> {
-            doc.get(k)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("fault record missing '{k}'"))
-        };
+        let m = Members::new(doc, "fault record");
         Ok(Self {
-            kernel: str_field("kernel")?,
-            fault: str_field("fault")?,
-            cycle: u64_field("cycle")?,
-            landed: bool_field("landed")?,
-            outcome: str_field("outcome")?,
-            detector: str_field("detector")?,
-            recovered: bool_field("recovered")?,
-            recovery_attempts: u64_field("recovery_attempts")?,
-            recovery_cycles: u64_field("recovery_cycles")?,
+            kernel: m.str("kernel")?.to_string(),
+            fault: m.str("fault")?.to_string(),
+            cycle: m.u64("cycle")?,
+            landed: m.bool("landed")?,
+            outcome: m.str("outcome")?.to_string(),
+            detector: m.str("detector")?.to_string(),
+            recovered: m.bool("recovered")?,
+            recovery_attempts: m.u64("recovery_attempts")?,
+            recovery_cycles: m.u64("recovery_cycles")?,
         })
     }
 }
@@ -132,32 +121,14 @@ impl DegradedRecord {
 
     /// Parse a record serialized by [`DegradedRecord::to_json`].
     pub fn from_json(doc: &Json) -> Result<Self, String> {
+        let m = Members::new(doc, "degraded record");
         Ok(Self {
-            kernel: doc
-                .get("kernel")
-                .and_then(Json::as_str)
-                .ok_or("degraded record missing 'kernel'")?
-                .to_string(),
-            healthy_k: doc
-                .get("healthy_k")
-                .and_then(Json::as_u64)
-                .ok_or("degraded record missing 'healthy_k'")?,
-            degraded_k: doc
-                .get("degraded_k")
-                .and_then(Json::as_u64)
-                .ok_or("degraded record missing 'degraded_k'")?,
-            healthy_mflops: doc
-                .get("healthy_mflops")
-                .and_then(Json::as_f64)
-                .ok_or("degraded record missing 'healthy_mflops'")?,
-            degraded_mflops: doc
-                .get("degraded_mflops")
-                .and_then(Json::as_f64)
-                .ok_or("degraded record missing 'degraded_mflops'")?,
-            exact: doc
-                .get("exact")
-                .and_then(Json::as_bool)
-                .ok_or("degraded record missing 'exact'")?,
+            kernel: m.str("kernel")?.to_string(),
+            healthy_k: m.u64("healthy_k")?,
+            degraded_k: m.u64("degraded_k")?,
+            healthy_mflops: m.f64("healthy_mflops")?,
+            degraded_mflops: m.f64("degraded_mflops")?,
+            exact: m.bool("exact")?,
         })
     }
 }
@@ -188,9 +159,8 @@ impl FaultSet {
 
     /// Serialize to the canonical byte-deterministic JSON document.
     pub fn to_json_string(&self) -> String {
-        Json::obj()
-            .with("schema_version", Json::Num(FAULT_SCHEMA_VERSION as f64))
-            .with("generator", Json::Str(self.generator.clone()))
+        ENVELOPE
+            .begin(&self.generator)
             .with("seed", Json::Num(self.seed as f64))
             .with(
                 "records",
@@ -206,55 +176,13 @@ impl FaultSet {
     /// Parse a document produced by [`FaultSet::to_json_string`],
     /// rejecting schema mismatches outright.
     pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "document missing 'schema_version'".to_string())?;
-        if version != FAULT_SCHEMA_VERSION {
-            return Err(format!(
-                "schema version mismatch: file has v{version}, this tool speaks \
-                 v{FAULT_SCHEMA_VERSION} — regenerate the fault set"
-            ));
-        }
+        let (doc, generator) = ENVELOPE.open(text)?;
         Ok(Self {
-            generator: doc
-                .get("generator")
-                .and_then(Json::as_str)
-                .ok_or("document missing 'generator'")?
-                .to_string(),
-            seed: doc
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or("document missing 'seed'")?,
-            records: doc
-                .get("records")
-                .and_then(Json::as_arr)
-                .ok_or("document missing 'records' array")?
-                .iter()
-                .map(FaultRecord::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            degraded: doc
-                .get("degraded")
-                .and_then(Json::as_arr)
-                .ok_or("document missing 'degraded' array")?
-                .iter()
-                .map(DegradedRecord::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
+            generator,
+            seed: Members::new(&doc, "document").u64("seed")?,
+            records: rows(&doc, "records", FaultRecord::from_json)?,
+            degraded: rows(&doc, "degraded", DegradedRecord::from_json)?,
         })
-    }
-
-    /// Read and parse a fault-set file.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json_str(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Write the canonical document to `path`.
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.to_json_string())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))
     }
 
     /// Silent corruptions among ABFT-covered kernels (`mvm/*`, `mm/*`) —
@@ -267,6 +195,16 @@ impl FaultSet {
                     && r.outcome == "silent-corruption"
             })
             .count() as u64
+    }
+}
+
+impl StoreFile for FaultSet {
+    fn encode(&self) -> String {
+        self.to_json_string()
+    }
+
+    fn decode(text: &str) -> Result<Self, String> {
+        Self::from_json_str(text)
     }
 }
 

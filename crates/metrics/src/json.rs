@@ -196,12 +196,14 @@ impl Json {
 
     /// Parse a JSON document. Strict: rejects trailing garbage, duplicate
     /// keys are kept as-is (first wins on [`Json::get`]).
+    ///
+    /// Containers nest at most [`MAX_DEPTH`] deep, so a hostile document
+    /// is an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(JsonError::at(pos, "trailing characters after document"));
         }
         Ok(value)
@@ -291,13 +293,23 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Deepest container nesting [`Json::parse`] accepts. Committed stores
+/// nest at most 8 deep.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parse one value with `depth` containers already open around it.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(JsonError::at(*pos, "unexpected end of input")),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_str(bytes, pos)?)),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(JsonError::at(
+            *pos,
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+        )),
+        Some(b'{') => parse_obj(text, pos, depth + 1),
+        Some(b'[') => parse_arr(text, pos, depth + 1),
+        Some(b'"') => Ok(Json::Str(parse_str(text, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -327,7 +339,8 @@ fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         .map_err(|_| JsonError::at(start, &format!("invalid number '{text}'")))
 }
 
-fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_str(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -367,18 +380,20 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| JsonError::at(*pos, "invalid UTF-8"))?;
-                let ch = rest.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run up to the next quote or escape. Both are
+                // ASCII, so the run ends on a char boundary.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(&text[start..*pos]);
             }
         }
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_arr(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -387,7 +402,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -400,7 +415,8 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_obj(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -410,10 +426,10 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_str(bytes, pos)?;
+        let key = parse_str(text, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(text, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -424,6 +440,54 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             }
             _ => return Err(JsonError::at(*pos, "expected ',' or '}'")),
         }
+    }
+}
+
+/// Typed member access for decoders: a missing or mistyped member is an
+/// error naming the value being decoded (`what`) and the member.
+#[derive(Debug, Clone, Copy)]
+pub struct Members<'a> {
+    json: &'a Json,
+    what: &'a str,
+}
+
+impl<'a> Members<'a> {
+    /// The members of `json`, reported as `what` in errors.
+    pub fn new(json: &'a Json, what: &'a str) -> Self {
+        Self { json, what }
+    }
+
+    /// Member `key` converted by `as_`, e.g. [`Json::as_u64`].
+    pub fn get<T>(self, key: &str, as_: impl FnOnce(&'a Json) -> Option<T>) -> Result<T, String> {
+        self.json
+            .get(key)
+            .and_then(as_)
+            .ok_or_else(|| format!("{}: missing '{key}'", self.what))
+    }
+
+    /// An unsigned-integer member.
+    pub fn u64(self, key: &str) -> Result<u64, String> {
+        self.get(key, Json::as_u64)
+    }
+
+    /// A number member.
+    pub fn f64(self, key: &str) -> Result<f64, String> {
+        self.get(key, Json::as_f64)
+    }
+
+    /// A boolean member.
+    pub fn bool(self, key: &str) -> Result<bool, String> {
+        self.get(key, Json::as_bool)
+    }
+
+    /// A string member.
+    pub fn str(self, key: &str) -> Result<&'a str, String> {
+        self.get(key, Json::as_str)
+    }
+
+    /// A member of any type.
+    pub fn value(self, key: &str) -> Result<&'a Json, String> {
+        self.get(key, Some)
     }
 }
 
@@ -448,12 +512,15 @@ pub fn rle_encode(values: &[u64]) -> Json {
 }
 
 /// Decode `[value, run]` pairs back into a counter vector of exactly
-/// `len` entries; `what` names the field in diagnostics.
+/// `len` entries; `what` names the field in diagnostics. The run total
+/// is checked before anything is expanded, so a damaged run length is
+/// an error, not an allocation of its size.
 pub fn rle_decode(json: &Json, len: usize, what: &str) -> Result<Vec<u64>, String> {
     let pairs = json
         .as_arr()
         .ok_or_else(|| format!("{what}: expected an RLE array"))?;
-    let mut out = Vec::with_capacity(len);
+    let mut runs = Vec::with_capacity(pairs.len());
+    let mut total = 0u64;
     for pair in pairs {
         let items = pair
             .as_arr()
@@ -466,15 +533,17 @@ pub fn rle_decode(json: &Json, len: usize, what: &str) -> Result<Vec<u64>, Strin
             .as_u64()
             .filter(|&n| n > 0)
             .ok_or_else(|| format!("{what}: RLE run is not a positive integer"))?;
-        for _ in 0..run {
-            out.push(value);
-        }
+        total = total.saturating_add(run);
+        runs.push((value, run as usize));
     }
-    if out.len() != len {
+    if total != len as u64 {
         return Err(format!(
-            "{what}: RLE decodes to {} windows, expected {len}",
-            out.len()
+            "{what}: RLE decodes to {total} windows, expected {len}"
         ));
+    }
+    let mut out = Vec::with_capacity(len);
+    for (value, run) in runs {
+        out.resize(out.len() + run, value);
     }
     Ok(out)
 }
@@ -485,18 +554,26 @@ mod tests {
 
     #[test]
     fn rle_round_trips_and_validates() {
-        let v = vec![0u64, 0, 0, 5, 5, 1, 0, 0, 0, 0];
-        let encoded = rle_encode(&v);
-        assert_eq!(rle_decode(&encoded, v.len(), "t").unwrap(), v);
-        // Wrong expected length is a hard error, not a silent pad.
-        assert!(rle_decode(&encoded, v.len() + 1, "t")
+        for v in [
+            vec![0u64, 0, 0, 5, 5, 1, 0, 0, 0, 0],
+            vec![],
+            vec![7],
+            vec![1, 2, 3, 4],
+            vec![9; 100],
+        ] {
+            assert_eq!(rle_decode(&rle_encode(&v), v.len(), "t").unwrap(), v);
+        }
+        // Long constant stretches compress to one pair.
+        assert_eq!(rle_encode(&[3; 64]).as_arr().map(<[Json]>::len), Some(1));
+        // Wrong expected length is a hard error, not a silent pad, and a
+        // damaged run length is rejected before it is expanded.
+        let encoded = rle_encode(&[1, 1, 2]);
+        let err = rle_decode(&encoded, 5, "t").unwrap_err();
+        assert!(err.contains("decodes to 3 windows, expected 5"), "{err}");
+        let huge = Json::Arr(vec![Json::Arr(vec![Json::Num(1.0), Json::Num(1e18)])]);
+        assert!(rle_decode(&huge, 5, "t")
             .unwrap_err()
-            .contains("expected"));
-        // Empty vectors encode to an empty array.
-        assert_eq!(
-            rle_decode(&rle_encode(&[]), 0, "t").unwrap(),
-            Vec::<u64>::new()
-        );
+            .contains("expected 5"));
         // Zero-length runs are rejected.
         let bad = Json::Arr(vec![Json::Arr(vec![Json::Num(1.0), Json::Num(0.0)])]);
         assert!(rle_decode(&bad, 1, "t").unwrap_err().contains("positive"));
@@ -596,6 +673,17 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting deeper"), "{err}");
+        // Hostile depth is an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
+        assert!(Json::parse(&"{\"a\": ".repeat(100_000)).is_err());
+    }
+
+    #[test]
     fn accessors() {
         let doc = Json::parse("{\"n\": 42, \"s\": \"hi\", \"a\": [1, 2]}").unwrap();
         assert_eq!(doc.get("n").and_then(Json::as_u64), Some(42));
@@ -605,5 +693,95 @@ mod tests {
             Some(2)
         );
         assert_eq!(doc.get("missing"), None);
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod properties {
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    /// Characters that steer generated text into the parser's branches.
+    const JSONISH: &[u8] = b"{}[]\",:-+.eE0123456789 \\/ntrufalsu";
+
+    /// An arbitrary string: mostly JSON punctuation, some any-codepoint.
+    pub(crate) fn arb_text() -> impl Strategy<Value = String> {
+        prop::collection::vec(
+            prop_oneof![
+                (0..JSONISH.len()).prop_map(|i| char::from(JSONISH[i])),
+                any::<u32>().prop_map(|c| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}')),
+            ],
+            0..48,
+        )
+        .prop_map(|chars| chars.into_iter().collect())
+    }
+
+    fn any_char(rng: &mut TestRng) -> char {
+        match rng.below(3) {
+            0 => char::from(JSONISH[rng.below(JSONISH.len() as u64) as usize]),
+            1 => char::from_u32(rng.below(0x20) as u32).unwrap_or(' '),
+            _ => char::from_u32(rng.below(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+        }
+    }
+
+    fn any_string(rng: &mut TestRng) -> String {
+        (0..rng.below(8)).map(|_| any_char(rng)).collect()
+    }
+
+    /// A finite number: integers, fractions or any finite bit pattern.
+    fn any_finite(rng: &mut TestRng) -> f64 {
+        match rng.below(3) {
+            0 => rng.next_u64() as i64 as f64,
+            1 => (rng.next_f64() - 0.5) * 1e6,
+            _ => loop {
+                let x = f64::from_bits(rng.next_u64());
+                if x.is_finite() {
+                    break x;
+                }
+            },
+        }
+    }
+
+    /// Value trees of finite numbers, arbitrary strings, arrays and
+    /// objects, at most `.0` containers deep.
+    struct Tree(u64);
+
+    impl Strategy for Tree {
+        type Value = Json;
+        fn generate(&self, rng: &mut TestRng) -> Json {
+            let kinds = if self.0 == 0 { 4 } else { 6 };
+            let child = Tree(self.0.saturating_sub(1));
+            match rng.below(kinds) {
+                0 => Json::Null,
+                1 => Json::Bool(rng.next_u64() & 1 == 1),
+                2 => Json::Num(any_finite(rng)),
+                3 => Json::Str(any_string(rng)),
+                4 => Json::Arr((0..rng.below(4)).map(|_| child.generate(rng)).collect()),
+                _ => Json::Obj(
+                    (0..rng.below(4))
+                        .map(|_| (any_string(rng), child.generate(rng)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_never_panics(text in arb_text()) {
+            let _ = Json::parse(&text);
+        }
+
+        #[test]
+        fn trees_round_trip_exactly(doc in Tree(5)) {
+            let text = doc.render();
+            let parsed = Json::parse(&text);
+            prop_assert_eq!(parsed.as_ref(), Ok(&doc));
+            prop_assert_eq!(parsed.map(|p| p.render()), Ok(text));
+            prop_assert_eq!(Json::parse(&doc.render_compact()), Ok(doc.clone()));
+        }
     }
 }

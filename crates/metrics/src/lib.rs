@@ -11,8 +11,15 @@
 //!   probe layer's stall-cause breakdown, modeled area/clock, sustained
 //!   MFLOPS, compute- vs bandwidth-bound classification and paper-parity
 //!   deltas.
-//! * [`RecordSet`] / [`store`] — deterministic JSON persistence and the
-//!   `BENCH_<n>.json` trajectory convention.
+//! * [`store`] — the one store mechanism every committed file goes
+//!   through: the schema-versioned envelope, [`StoreFile`] load/save,
+//!   the generic [`Store<R>`](Store) over a [`Row`] kind (aliased as
+//!   [`RecordSet`], [`ServeSet`] and [`ScaleSet`]), the
+//!   `<PREFIX>_<n>.json` [`Trajectory`] naming and the [`diff_exact`]
+//!   gate. Each kind supplies only its row encode/decode, identity key,
+//!   drift-cause summary and gate.
+//! * [`wallclock`] — the volatile `BENCH_<n>.wallclock.json` host-time
+//!   sidecar, kept out of the byte-deterministic stores.
 //! * [`tolerance`] — the one shared table of paper-reported values and
 //!   tolerances; [`ParityGate`] is the PASS/FAIL gate every tool uses.
 //! * [`diff`] — strict baseline comparison (cycle drift, MFLOPS drift,
@@ -24,8 +31,7 @@
 //!   schema version and `EXPERIMENTS.md` marker pair).
 //! * [`serve`] — serving-campaign records (`SERVE_<n>.json`): per-tenant
 //!   admission/latency/SLO accounting for the BLAS-as-a-service front
-//!   end, with the same byte-determinism contract and a strict baseline
-//!   diff gate.
+//!   end, gated exactly against a committed baseline.
 //! * [`scale`] — multi-FPGA scaling records (`SCALE_<n>.json`): one row
 //!   per shard plan of the simulated fabric campaign, gated against the
 //!   §6.4 projections with a committed per-kernel tolerance table.
@@ -44,6 +50,7 @@ pub mod scale;
 pub mod serve;
 pub mod store;
 pub mod tolerance;
+pub mod wallclock;
 
 pub use diff::{diff_sets, DiffReport, DiffSeverity};
 pub use faults::{
@@ -53,16 +60,15 @@ pub use faults::{
 pub use json::Json;
 pub use record::{Bound, PaperParity, RecordKind, RunRecord, StallBreakdown, SCHEMA_VERSION};
 pub use scale::{
-    diff_scale, list_scale_files, next_scale_index, parse_scale_index, render_scale_section,
-    scale_file_name, scale_tolerance, splice_scale_section, ScaleDiff, ScaleRecord, ScaleSet,
+    diff_scale, render_scale_section, scale_tolerance, splice_scale_section, ScaleRecord, ScaleSet,
     SCALE_SCHEMA_VERSION, SCALE_SOUNDNESS_EPS, SCALE_TOLERANCES,
 };
 pub use serve::{
-    diff_serve, list_serve_files, next_serve_index, parse_serve_index, serve_file_name,
-    LatencyDigest, ServeDiff, ServeRecord, ServeSet, TenantRecord, SERVE_SCHEMA_VERSION,
+    diff_serve, LatencyDigest, ServeRecord, ServeSet, TenantRecord, SERVE_SCHEMA_VERSION,
 };
 pub use store::{
-    bench_file_name, list_bench_files, next_bench_index, parse_bench_index, RecordSet, WallClock,
-    WallClockEntry,
+    diff_exact, rows, Envelope, ExactDiff, RecordSet, Row, Store, StoreFile, Trajectory, BENCH,
+    SCALE, SERVE, TELEM,
 };
 pub use tolerance::{lookup, PaperTolerance, ParityGate, PAPER_TOLERANCES};
+pub use wallclock::{WallClock, WallClockEntry};

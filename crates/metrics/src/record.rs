@@ -11,12 +11,13 @@
 //! Records are deterministic by construction: nothing time- or
 //! host-dependent is stored in them. Simulator wall-clock throughput is
 //! measured per run but kept *outside* the record (see
-//! [`WallClock`](crate::store::WallClock)) so `BENCH_*.json` stays
+//! [`WallClock`](crate::wallclock::WallClock)) so `BENCH_*.json` stays
 //! byte-identical across repeated runs.
 
 use fblas_sim::{SimReport, StallCause};
 
-use crate::json::Json;
+use crate::json::{Json, Members};
+use crate::store::{Envelope, Row};
 use crate::tolerance;
 
 /// Version of the record schema. Bump on any field change; readers reject
@@ -297,9 +298,20 @@ impl RunRecord {
             self.busy_cycles as f64 / self.cycles as f64
         }
     }
+}
+
+impl Row for RunRecord {
+    const ENVELOPE: Envelope = Envelope {
+        kind: "bench",
+        version: SCHEMA_VERSION,
+    };
+
+    fn identity(&self) -> String {
+        self.key()
+    }
 
     /// Serialize to the canonical JSON tree (field order fixed).
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         let config = Json::Obj(
             self.config
                 .iter()
@@ -347,23 +359,8 @@ impl RunRecord {
     }
 
     /// Deserialize from the canonical JSON tree.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
-        let str_field = |key: &str| {
-            json.get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("record missing string field '{key}'"))
-        };
-        let u64_field = |key: &str| {
-            json.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("record missing integer field '{key}'"))
-        };
-        let f64_field = |key: &str| {
-            json.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("record missing number field '{key}'"))
-        };
-
+    fn from_json(json: &Json) -> Result<Self, String> {
+        let m = Members::new(json, "record");
         let config = match json.get("config") {
             Some(Json::Obj(members)) => members
                 .iter()
@@ -376,50 +373,36 @@ impl RunRecord {
             _ => return Err("record missing object field 'config'".into()),
         };
         let mut stalls = StallBreakdown::default();
-        let stalls_json = json
-            .get("stalls")
-            .ok_or_else(|| "record missing object field 'stalls'".to_string())?;
+        let stalls_json = Members::new(m.value("stalls")?, "stalls");
         for (i, &cause) in StallCause::ALL.iter().enumerate() {
-            stalls.by_cause[i] = stalls_json
-                .get(cause.name())
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("stalls missing cause '{}'", cause.name()))?;
+            stalls.by_cause[i] = stalls_json.u64(cause.name())?;
         }
-        let paper = match json.get("paper") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|p| {
-                    Ok(PaperParity {
-                        figure_id: p
-                            .get("figure")
-                            .and_then(Json::as_str)
-                            .ok_or_else(|| "paper entry missing 'figure'".to_string())?
-                            .to_string(),
-                        measured: p
-                            .get("measured")
-                            .and_then(Json::as_f64)
-                            .ok_or_else(|| "paper entry missing 'measured'".to_string())?,
-                    })
+        let paper = m
+            .get("paper", Json::as_arr)?
+            .iter()
+            .map(|p| {
+                let p = Members::new(p, "paper entry");
+                Ok(PaperParity {
+                    figure_id: p.str("figure")?.to_string(),
+                    measured: p.f64("measured")?,
                 })
-                .collect::<Result<Vec<_>, String>>()?,
-            _ => return Err("record missing array field 'paper'".into()),
-        };
-
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(Self {
-            kernel: str_field("kernel")?.to_string(),
+            kernel: m.str("kernel")?.to_string(),
             config,
-            kind: RecordKind::parse(str_field("kind")?)
+            kind: RecordKind::parse(m.str("kind")?)
                 .ok_or_else(|| "unknown record kind".to_string())?,
-            cycles: u64_field("cycles")?,
-            flops: u64_field("flops")?,
-            words_in: u64_field("words_in")?,
-            words_out: u64_field("words_out")?,
-            busy_cycles: u64_field("busy_cycles")?,
+            cycles: m.u64("cycles")?,
+            flops: m.u64("flops")?,
+            words_in: m.u64("words_in")?,
+            words_out: m.u64("words_out")?,
+            busy_cycles: m.u64("busy_cycles")?,
             stalls,
-            clock_mhz: f64_field("clock_mhz")?,
-            modeled_slices: u64_field("modeled_slices")?,
-            sustained_mflops: f64_field("sustained_mflops")?,
-            bound: Bound::parse(str_field("bound")?)
+            clock_mhz: m.f64("clock_mhz")?,
+            modeled_slices: m.u64("modeled_slices")?,
+            sustained_mflops: m.f64("sustained_mflops")?,
+            bound: Bound::parse(m.str("bound")?)
                 .ok_or_else(|| "unknown bound classification".to_string())?,
             paper,
         })

@@ -17,10 +17,9 @@
 //! divergence beyond the per-kernel [`SCALE_TOLERANCES`] band is a
 //! warning that the model and the simulated fabric have drifted apart.
 
-use std::path::{Path, PathBuf};
-
-use crate::json::Json;
+use crate::json::{Json, Members};
 use crate::report::splice_between;
+use crate::store::{diff_exact, Envelope, ExactDiff, Row, Store};
 
 /// Version stamp for `SCALE_*.json` documents.
 pub const SCALE_SCHEMA_VERSION: u64 = 1;
@@ -111,6 +110,17 @@ impl ScaleRecord {
     pub fn cell(&self) -> String {
         format!("{}/s{}", self.kernel, self.shards)
     }
+}
+
+impl Row for ScaleRecord {
+    const ENVELOPE: Envelope = Envelope {
+        kind: "scale",
+        version: SCALE_SCHEMA_VERSION,
+    };
+
+    fn identity(&self) -> String {
+        self.cell()
+    }
 
     fn to_json(&self) -> Json {
         Json::obj()
@@ -153,256 +163,67 @@ impl ScaleRecord {
     }
 
     fn from_json(json: &Json) -> Result<Self, String> {
-        let kernel = json
-            .get("kernel")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "record missing 'kernel'".to_string())?
-            .to_string();
-        let field = |key: &str| {
-            json.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{kernel}: missing '{key}'"))
-        };
-        let fnum = |key: &str| {
-            json.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("{kernel}: missing '{key}'"))
-        };
+        let kernel = Members::new(json, "record").str("kernel")?.to_string();
+        let m = Members::new(json, &kernel);
         Ok(Self {
-            shards: field("shards")?,
-            chassis: field("chassis")?,
-            n: field("n")?,
-            k: field("k")?,
-            m: field("m")?,
-            cycles: field("cycles")?,
-            flops: field("flops")?,
-            words_in: field("words_in")?,
-            words_out: field("words_out")?,
-            busy_cycles: field("busy_cycles")?,
-            stalls_starved: field("stalls_starved")?,
-            stalls_backpressured: field("stalls_backpressured")?,
-            link_words_forwarded: field("link_words_forwarded")?,
-            link_congestion_cycles: field("link_congestion_cycles")?,
-            link_max_backlog_words: field("link_max_backlog_words")?,
-            clock_mhz: fnum("clock_mhz")?,
-            sustained_mflops: fnum("sustained_mflops")?,
-            baseline_cycles: field("baseline_cycles")?,
-            speedup: fnum("speedup")?,
-            efficiency: fnum("efficiency")?,
-            modeled_mflops: fnum("modeled_mflops")?,
-            divergence: fnum("divergence")?,
-            within_bound: json
-                .get("within_bound")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("{kernel}: missing 'within_bound'"))?,
+            shards: m.u64("shards")?,
+            chassis: m.u64("chassis")?,
+            n: m.u64("n")?,
+            k: m.u64("k")?,
+            m: m.u64("m")?,
+            cycles: m.u64("cycles")?,
+            flops: m.u64("flops")?,
+            words_in: m.u64("words_in")?,
+            words_out: m.u64("words_out")?,
+            busy_cycles: m.u64("busy_cycles")?,
+            stalls_starved: m.u64("stalls_starved")?,
+            stalls_backpressured: m.u64("stalls_backpressured")?,
+            link_words_forwarded: m.u64("link_words_forwarded")?,
+            link_congestion_cycles: m.u64("link_congestion_cycles")?,
+            link_max_backlog_words: m.u64("link_max_backlog_words")?,
+            clock_mhz: m.f64("clock_mhz")?,
+            sustained_mflops: m.f64("sustained_mflops")?,
+            baseline_cycles: m.u64("baseline_cycles")?,
+            speedup: m.f64("speedup")?,
+            efficiency: m.f64("efficiency")?,
+            modeled_mflops: m.f64("modeled_mflops")?,
+            divergence: m.f64("divergence")?,
+            within_bound: m.bool("within_bound")?,
             kernel,
         })
     }
 }
 
-/// An ordered collection of scaling points from one campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaleSet {
-    /// Tool that produced the set, e.g. `"observatory"`.
-    pub generator: String,
-    /// The points, in campaign order (kernel-major, width ascending).
-    pub records: Vec<ScaleRecord>,
-}
+/// An ordered collection of scaling points from one campaign, in
+/// campaign order (kernel-major, width ascending).
+pub type ScaleSet = Store<ScaleRecord>;
 
-impl ScaleSet {
-    /// An empty set for `generator`.
-    pub fn new(generator: &str) -> Self {
-        Self {
-            generator: generator.to_string(),
-            records: Vec::new(),
+/// Exact gate of a regenerated campaign against a committed baseline
+/// ([`diff_exact`]): every baseline cell must exist with identical
+/// cycles, counters and gate verdicts; new widths are informational.
+pub fn diff_scale(current: &ScaleSet, baseline: &ScaleSet) -> ExactDiff {
+    diff_exact(current, baseline, "scale", |cur, base| {
+        let mut causes = Vec::new();
+        if cur.cycles != base.cycles {
+            causes.push(format!("cycles {} != baseline {}", cur.cycles, base.cycles));
         }
-    }
-
-    /// Find a point by its cell identity (`kernel/s<width>`).
-    pub fn find(&self, cell: &str) -> Option<&ScaleRecord> {
-        self.records.iter().find(|r| r.cell() == cell)
-    }
-
-    /// Serialize to the canonical byte-deterministic JSON document.
-    pub fn to_json_string(&self) -> String {
-        Json::obj()
-            .with("schema_version", Json::Num(SCALE_SCHEMA_VERSION as f64))
-            .with("generator", Json::Str(self.generator.clone()))
-            .with(
-                "records",
-                Json::Arr(self.records.iter().map(ScaleRecord::to_json).collect()),
-            )
-            .render()
-    }
-
-    /// Parse a document produced by [`ScaleSet::to_json_string`].
-    pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "document missing 'schema_version'".to_string())?;
-        if version != SCALE_SCHEMA_VERSION {
-            return Err(format!(
-                "scale schema version mismatch: file has v{version}, this tool speaks \
-                 v{SCALE_SCHEMA_VERSION} — regenerate the store"
+        if cur.flops != base.flops {
+            causes.push(format!("flops {} != baseline {}", cur.flops, base.flops));
+        }
+        if cur.speedup != base.speedup {
+            causes.push(format!(
+                "speedup {} != baseline {}",
+                cur.speedup, base.speedup
             ));
         }
-        let generator = doc
-            .get("generator")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "document missing 'generator'".to_string())?
-            .to_string();
-        let records = doc
-            .get("records")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "document missing 'records' array".to_string())?
-            .iter()
-            .map(ScaleRecord::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { generator, records })
-    }
-
-    /// Read and parse a scaling store file.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json_str(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Write the canonical document to `path`.
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.to_json_string())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))
-    }
-}
-
-/// Result of gating a regenerated campaign against a baseline store.
-#[derive(Debug, Clone, Default)]
-pub struct ScaleDiff {
-    /// Human-readable per-cell findings, in baseline order.
-    pub lines: Vec<String>,
-    /// Number of gate failures (0 means the diff passes).
-    pub failures: u64,
-}
-
-impl ScaleDiff {
-    /// Whether the regenerated campaign matches the baseline.
-    pub fn pass(&self) -> bool {
-        self.failures == 0
-    }
-
-    /// Render the findings (one line each) followed by a verdict line.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for line in &self.lines {
-            out.push_str(line);
-            out.push('\n');
-        }
-        if self.pass() {
-            out.push_str("scale diff: PASS\n");
-        } else {
-            out.push_str(&format!(
-                "scale diff: FAIL ({} finding(s))\n",
-                self.failures
+        if cur.within_bound != base.within_bound {
+            causes.push(format!(
+                "bound verdict flipped ({} -> {})",
+                base.within_bound, cur.within_bound
             ));
         }
-        out
-    }
-}
-
-/// Strict comparison of a regenerated campaign against a committed
-/// baseline.
-///
-/// The fabric is deterministic end to end, so the gate is exact: every
-/// baseline cell must exist with identical cycles, counters and gate
-/// verdicts. Cells present only in `current` are reported as
-/// informational (new widths are how the ladder grows) and do not fail
-/// the gate.
-pub fn diff_scale(current: &ScaleSet, baseline: &ScaleSet) -> ScaleDiff {
-    let mut diff = ScaleDiff::default();
-    for base in &baseline.records {
-        let cell = base.cell();
-        match current.find(&cell) {
-            None => {
-                diff.lines
-                    .push(format!("{cell}: MISSING from regenerated campaign"));
-                diff.failures += 1;
-            }
-            Some(cur) if cur == base => {
-                diff.lines.push(format!("{cell}: ok"));
-            }
-            Some(cur) => {
-                let mut causes = Vec::new();
-                if cur.cycles != base.cycles {
-                    causes.push(format!("cycles {} != baseline {}", cur.cycles, base.cycles));
-                }
-                if cur.flops != base.flops {
-                    causes.push(format!("flops {} != baseline {}", cur.flops, base.flops));
-                }
-                if cur.speedup != base.speedup {
-                    causes.push(format!(
-                        "speedup {} != baseline {}",
-                        cur.speedup, base.speedup
-                    ));
-                }
-                if cur.within_bound != base.within_bound {
-                    causes.push(format!(
-                        "bound verdict flipped ({} -> {})",
-                        base.within_bound, cur.within_bound
-                    ));
-                }
-                if causes.is_empty() {
-                    causes.push("field drift outside summarized counters".to_string());
-                }
-                diff.lines
-                    .push(format!("{cell}: DRIFT — {}", causes.join("; ")));
-                diff.failures += 1;
-            }
-        }
-    }
-    for cur in &current.records {
-        if baseline.find(&cur.cell()).is_none() {
-            diff.lines
-                .push(format!("{}: new cell (not in baseline)", cur.cell()));
-        }
-    }
-    diff
-}
-
-/// File name of scaling trajectory point `index`: `SCALE_0001.json`.
-pub fn scale_file_name(index: u64) -> String {
-    format!("SCALE_{index:04}.json")
-}
-
-/// Parse an index out of a `SCALE_<n>.json` file name.
-pub fn parse_scale_index(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("SCALE_")?.strip_suffix(".json")?;
-    if rest.contains('.') {
-        return None;
-    }
-    rest.parse().ok()
-}
-
-/// The `SCALE_*.json` files in `dir`, sorted by index.
-pub fn list_scale_files(dir: &Path) -> Vec<(u64, PathBuf)> {
-    let mut found = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if let Some(index) = entry.file_name().to_str().and_then(parse_scale_index) {
-                found.push((index, entry.path()));
-            }
-        }
-    }
-    found.sort_by_key(|&(index, _)| index);
-    found
-}
-
-/// First unused scaling trajectory index in `dir` (1-based).
-pub fn next_scale_index(dir: &Path) -> u64 {
-    list_scale_files(dir)
-        .last()
-        .map_or(1, |&(index, _)| index + 1)
+        causes
+    })
 }
 
 /// Render the scaling scoreboard as a markdown table.
@@ -567,29 +388,6 @@ mod tests {
         let diff = diff_scale(&set, &shrunk);
         assert!(diff.pass());
         assert!(diff.render().contains("new cell"));
-    }
-
-    #[test]
-    fn file_names_parse_and_list_in_order() {
-        assert_eq!(scale_file_name(7), "SCALE_0007.json");
-        assert_eq!(parse_scale_index("SCALE_0012.json"), Some(12));
-        assert_eq!(parse_scale_index("SCALE_12.json"), Some(12));
-        assert_eq!(parse_scale_index("SCALE_1.2.json"), None);
-        assert_eq!(parse_scale_index("BENCH_0001.json"), None);
-        assert_eq!(parse_scale_index("SCALE_x.json"), None);
-
-        let dir = std::env::temp_dir().join(format!("fblas-scale-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(next_scale_index(&dir), 1);
-        sample_set().save(&dir.join(scale_file_name(1))).unwrap();
-        sample_set().save(&dir.join(scale_file_name(3))).unwrap();
-        let files = list_scale_files(&dir);
-        assert_eq!(files.len(), 2);
-        assert_eq!((files[0].0, files[1].0), (1, 3));
-        assert_eq!(next_scale_index(&dir), 4);
-        let loaded = ScaleSet::load(&files[1].1).unwrap();
-        assert_eq!(loaded, sample_set());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

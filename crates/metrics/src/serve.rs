@@ -15,11 +15,10 @@
 //! --diff` gates the regenerated campaign against a committed baseline
 //! with [`diff_serve`].
 
-use std::path::{Path, PathBuf};
-
 use fblas_sim::LogHistogram;
 
-use crate::json::{rle_decode, rle_encode, Json};
+use crate::json::{rle_decode, rle_encode, Json, Members};
+use crate::store::{diff_exact, Envelope, ExactDiff, Row, Store};
 
 /// Version of the serving store schema. Bump on any field change;
 /// readers reject mismatches so a stale baseline cannot be silently
@@ -82,12 +81,9 @@ impl LatencyDigest {
     }
 
     fn from_json(json: &Json, what: &str) -> Result<Self, String> {
-        let field = |key: &str| {
-            json.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{what}: latency missing '{key}'"))
-        };
-        let samples = field("samples")?;
+        let what = format!("{what}: latency");
+        let m = Members::new(json, &what);
+        let samples = m.u64("samples")?;
         let quantiles = if samples == 0 {
             for key in ["p50", "p95", "p99", "p999"] {
                 if json.get(key).and_then(Json::as_u64).is_some() {
@@ -98,12 +94,12 @@ impl LatencyDigest {
             }
             None
         } else {
-            Some([field("p50")?, field("p95")?, field("p99")?, field("p999")?])
+            Some([m.u64("p50")?, m.u64("p95")?, m.u64("p99")?, m.u64("p999")?])
         };
         Ok(Self {
             samples,
-            min: field("min")?,
-            max: field("max")?,
+            min: m.u64("min")?,
+            max: m.u64("max")?,
             quantiles,
         })
     }
@@ -158,36 +154,23 @@ impl TenantRecord {
     }
 
     fn from_json(json: &Json, windows: usize) -> Result<Self, String> {
-        let name = json
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "tenant missing 'name'".to_string())?
-            .to_string();
-        let field = |key: &str| {
-            json.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{name}: tenant missing '{key}'"))
-        };
+        let name = Members::new(json, "tenant").str("name")?.to_string();
+        let what = format!("{name}: tenant");
+        let m = Members::new(json, &what);
         Ok(Self {
-            arrivals: field("arrivals")?,
-            rejected_queue: field("rejected_queue")?,
-            rejected_tokens: field("rejected_tokens")?,
-            completed: field("completed")?,
-            in_flight: field("in_flight")?,
-            latency: LatencyDigest::from_json(
-                json.get("latency")
-                    .ok_or_else(|| format!("{name}: tenant missing 'latency'"))?,
-                &name,
-            )?,
+            arrivals: m.u64("arrivals")?,
+            rejected_queue: m.u64("rejected_queue")?,
+            rejected_tokens: m.u64("rejected_tokens")?,
+            completed: m.u64("completed")?,
+            in_flight: m.u64("in_flight")?,
+            latency: LatencyDigest::from_json(m.value("latency")?, &name)?,
             completions: rle_decode(
-                json.get("completions")
-                    .ok_or_else(|| format!("{name}: tenant missing 'completions'"))?,
+                m.value("completions")?,
                 windows,
                 &format!("{name}.completions"),
             )?,
             rejections: rle_decode(
-                json.get("rejections")
-                    .ok_or_else(|| format!("{name}: tenant missing 'rejections'"))?,
+                m.value("rejections")?,
                 windows,
                 &format!("{name}.rejections"),
             )?,
@@ -273,6 +256,17 @@ impl ServeRecord {
     pub fn busy_ns(&self) -> u64 {
         self.staging_ns + self.compute_ns
     }
+}
+
+impl Row for ServeRecord {
+    const ENVELOPE: Envelope = Envelope {
+        kind: "serve",
+        version: SERVE_SCHEMA_VERSION,
+    };
+
+    fn identity(&self) -> String {
+        self.cell.clone()
+    }
 
     fn to_json(&self) -> Json {
         Json::obj()
@@ -303,275 +297,81 @@ impl ServeRecord {
     }
 
     fn from_json(json: &Json) -> Result<Self, String> {
-        let cell = json
-            .get("cell")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "record missing 'cell'".to_string())?
-            .to_string();
-        let field = |key: &str| {
-            json.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{cell}: missing '{key}'"))
-        };
-        let flag = |key: &str| {
-            json.get(key)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("{cell}: missing '{key}'"))
-        };
-        let windows = field("windows")?;
-        let tenants = json
-            .get("tenants")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{cell}: missing 'tenants' array"))?
+        let cell = Members::new(json, "record").str("cell")?.to_string();
+        let m = Members::new(json, &cell);
+        let windows = m.u64("windows")?;
+        let tenants = m
+            .get("tenants", Json::as_arr)?
             .iter()
             .map(|t| {
                 TenantRecord::from_json(t, windows as usize).map_err(|e| format!("{cell}: {e}"))
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
-            kernel: json
-                .get("kernel")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{cell}: missing 'kernel'"))?
-                .to_string(),
-            n: field("n")?,
-            seed: field("seed")?,
-            max_batch: field("max_batch")?,
-            drain: flag("drain")?,
-            horizon_ns: field("horizon_ns")?,
-            window_ns: field("window_ns")?,
+            kernel: m.str("kernel")?.to_string(),
+            n: m.u64("n")?,
+            seed: m.u64("seed")?,
+            max_batch: m.u64("max_batch")?,
+            drain: m.bool("drain")?,
+            horizon_ns: m.u64("horizon_ns")?,
+            window_ns: m.u64("window_ns")?,
             windows,
-            batches: field("batches")?,
-            staging_ns: field("staging_ns")?,
-            compute_ns: field("compute_ns")?,
-            elapsed_ns: field("elapsed_ns")?,
-            throughput_milli_rps: field("throughput_milli_rps")?,
-            latency: LatencyDigest::from_json(
-                json.get("latency")
-                    .ok_or_else(|| format!("{cell}: missing 'latency'"))?,
-                &cell,
-            )?,
-            slo_p99_ns: field("slo_p99_ns")?,
-            slo_pass: flag("slo_pass")?,
+            batches: m.u64("batches")?,
+            staging_ns: m.u64("staging_ns")?,
+            compute_ns: m.u64("compute_ns")?,
+            elapsed_ns: m.u64("elapsed_ns")?,
+            throughput_milli_rps: m.u64("throughput_milli_rps")?,
+            latency: LatencyDigest::from_json(m.value("latency")?, &cell)?,
+            slo_p99_ns: m.u64("slo_p99_ns")?,
+            slo_pass: m.bool("slo_pass")?,
             tenants,
             cell,
         })
     }
 }
 
-/// An ordered collection of serving cells from one campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeSet {
-    /// Tool that produced the set, e.g. `"observatory"`.
-    pub generator: String,
-    /// The cells, in campaign order.
-    pub records: Vec<ServeRecord>,
-}
+/// An ordered collection of serving cells from one campaign, in
+/// campaign order.
+pub type ServeSet = Store<ServeRecord>;
 
-impl ServeSet {
-    /// An empty set for `generator`.
-    pub fn new(generator: &str) -> Self {
-        Self {
-            generator: generator.to_string(),
-            records: Vec::new(),
-        }
-    }
-
-    /// Find a cell by its identity string.
-    pub fn find(&self, cell: &str) -> Option<&ServeRecord> {
-        self.records.iter().find(|r| r.cell == cell)
-    }
-
-    /// Serialize to the canonical byte-deterministic JSON document.
-    pub fn to_json_string(&self) -> String {
-        Json::obj()
-            .with("schema_version", Json::Num(SERVE_SCHEMA_VERSION as f64))
-            .with("generator", Json::Str(self.generator.clone()))
-            .with(
-                "records",
-                Json::Arr(self.records.iter().map(ServeRecord::to_json).collect()),
-            )
-            .render()
-    }
-
-    /// Parse a document produced by [`ServeSet::to_json_string`].
-    pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "document missing 'schema_version'".to_string())?;
-        if version != SERVE_SCHEMA_VERSION {
-            return Err(format!(
-                "serve schema version mismatch: file has v{version}, this tool speaks \
-                 v{SERVE_SCHEMA_VERSION} — regenerate the store"
+/// Exact gate of a regenerated campaign against a committed baseline
+/// ([`diff_exact`]): every baseline cell must exist with identical
+/// counters, modeled times, latency digest and SLO verdict; new cells
+/// are informational.
+pub fn diff_serve(current: &ServeSet, baseline: &ServeSet) -> ExactDiff {
+    diff_exact(current, baseline, "serve", |cur, base| {
+        let mut causes = Vec::new();
+        if cur.completed() != base.completed() {
+            causes.push(format!(
+                "completed {} != baseline {}",
+                cur.completed(),
+                base.completed()
             ));
         }
-        let generator = doc
-            .get("generator")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "document missing 'generator'".to_string())?
-            .to_string();
-        let records = doc
-            .get("records")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "document missing 'records' array".to_string())?
-            .iter()
-            .map(ServeRecord::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { generator, records })
-    }
-
-    /// Read and parse a serving store file.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json_str(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Write the canonical document to `path`.
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.to_json_string())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))
-    }
-}
-
-/// Result of gating a regenerated campaign against a baseline store.
-#[derive(Debug, Clone, Default)]
-pub struct ServeDiff {
-    /// Human-readable per-cell findings, in baseline order.
-    pub lines: Vec<String>,
-    /// Number of gate failures (0 means the diff passes).
-    pub failures: u64,
-}
-
-impl ServeDiff {
-    /// Whether the regenerated campaign matches the baseline.
-    pub fn pass(&self) -> bool {
-        self.failures == 0
-    }
-
-    /// Render the findings (one line each) followed by a verdict line.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for line in &self.lines {
-            out.push_str(line);
-            out.push('\n');
-        }
-        if self.pass() {
-            out.push_str("serve diff: PASS\n");
-        } else {
-            out.push_str(&format!(
-                "serve diff: FAIL ({} finding(s))\n",
-                self.failures
+        if cur.rejected() != base.rejected() {
+            causes.push(format!(
+                "rejected {} != baseline {}",
+                cur.rejected(),
+                base.rejected()
             ));
         }
-        out
-    }
-}
-
-/// Strict comparison of a regenerated campaign against a committed
-/// baseline.
-///
-/// The serving pipeline is deterministic end to end, so the gate is
-/// exact: every baseline cell must exist with identical counters,
-/// modeled times, latency digest and SLO verdict. Cells present only in
-/// `current` are reported as informational (new cells are how the
-/// campaign grows) and do not fail the gate.
-pub fn diff_serve(current: &ServeSet, baseline: &ServeSet) -> ServeDiff {
-    let mut diff = ServeDiff::default();
-    for base in &baseline.records {
-        match current.find(&base.cell) {
-            None => {
-                diff.lines
-                    .push(format!("{}: MISSING from regenerated campaign", base.cell));
-                diff.failures += 1;
-            }
-            Some(cur) if cur == base => {
-                diff.lines.push(format!("{}: ok", base.cell));
-            }
-            Some(cur) => {
-                let mut causes = Vec::new();
-                if cur.completed() != base.completed() {
-                    causes.push(format!(
-                        "completed {} != baseline {}",
-                        cur.completed(),
-                        base.completed()
-                    ));
-                }
-                if cur.rejected() != base.rejected() {
-                    causes.push(format!(
-                        "rejected {} != baseline {}",
-                        cur.rejected(),
-                        base.rejected()
-                    ));
-                }
-                if cur.elapsed_ns != base.elapsed_ns {
-                    causes.push(format!(
-                        "elapsed_ns {} != baseline {}",
-                        cur.elapsed_ns, base.elapsed_ns
-                    ));
-                }
-                if cur.latency != base.latency {
-                    causes.push("latency digest drifted".to_string());
-                }
-                if cur.slo_pass != base.slo_pass {
-                    causes.push(format!(
-                        "SLO verdict flipped ({} -> {})",
-                        base.slo_pass, cur.slo_pass
-                    ));
-                }
-                if causes.is_empty() {
-                    causes.push("field drift outside summarized counters".to_string());
-                }
-                diff.lines
-                    .push(format!("{}: DRIFT — {}", base.cell, causes.join("; ")));
-                diff.failures += 1;
-            }
+        if cur.elapsed_ns != base.elapsed_ns {
+            causes.push(format!(
+                "elapsed_ns {} != baseline {}",
+                cur.elapsed_ns, base.elapsed_ns
+            ));
         }
-    }
-    for cur in &current.records {
-        if baseline.find(&cur.cell).is_none() {
-            diff.lines
-                .push(format!("{}: new cell (not in baseline)", cur.cell));
+        if cur.latency != base.latency {
+            causes.push("latency digest drifted".to_string());
         }
-    }
-    diff
-}
-
-/// File name of serving trajectory point `index`: `SERVE_0007.json`.
-pub fn serve_file_name(index: u64) -> String {
-    format!("SERVE_{index:04}.json")
-}
-
-/// Parse an index out of a `SERVE_<n>.json` file name.
-pub fn parse_serve_index(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("SERVE_")?.strip_suffix(".json")?;
-    if rest.contains('.') {
-        return None;
-    }
-    rest.parse().ok()
-}
-
-/// The `SERVE_*.json` files in `dir`, sorted by index.
-pub fn list_serve_files(dir: &Path) -> Vec<(u64, PathBuf)> {
-    let mut found = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if let Some(index) = entry.file_name().to_str().and_then(parse_serve_index) {
-                found.push((index, entry.path()));
-            }
+        if cur.slo_pass != base.slo_pass {
+            causes.push(format!(
+                "SLO verdict flipped ({} -> {})",
+                base.slo_pass, cur.slo_pass
+            ));
         }
-    }
-    found.sort_by_key(|&(index, _)| index);
-    found
-}
-
-/// First unused serving trajectory index in `dir` (1-based).
-pub fn next_serve_index(dir: &Path) -> u64 {
-    list_serve_files(dir)
-        .last()
-        .map_or(1, |&(index, _)| index + 1)
+        causes
+    })
 }
 
 #[cfg(test)]
@@ -718,30 +518,5 @@ mod tests {
         let diff = diff_serve(&grown, &set);
         assert!(diff.pass(), "{}", diff.render());
         assert!(diff.render().contains("new cell"));
-    }
-
-    #[test]
-    fn serve_file_names() {
-        assert_eq!(serve_file_name(3), "SERVE_0003.json");
-        assert_eq!(parse_serve_index("SERVE_0003.json"), Some(3));
-        assert_eq!(parse_serve_index("SERVE_12.json"), Some(12));
-        assert_eq!(parse_serve_index("SERVE_0003.backup.json"), None);
-        assert_eq!(parse_serve_index("BENCH_0001.json"), None);
-    }
-
-    #[test]
-    fn trajectory_scan_and_next_index() {
-        let dir = std::env::temp_dir().join("fblas_serve_store_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(next_serve_index(&dir), 1);
-        let set = sample_set();
-        set.save(&dir.join(serve_file_name(1))).unwrap();
-        set.save(&dir.join(serve_file_name(2))).unwrap();
-        let files = list_serve_files(&dir);
-        assert_eq!(files.iter().map(|&(i, _)| i).collect::<Vec<_>>(), [1, 2]);
-        assert_eq!(next_serve_index(&dir), 3);
-        assert_eq!(ServeSet::load(&files[0].1).unwrap(), set);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

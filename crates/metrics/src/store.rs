@@ -1,33 +1,145 @@
-//! Persistence: schema-versioned record sets and the `BENCH_<n>.json`
-//! trajectory convention.
+//! The one store mechanism behind every committed record file.
 //!
-//! A [`RecordSet`] is what one observatory (or bench-binary `--json`) run
-//! emits: the schema version, the generator name and the records, in run
-//! order. Sets serialize deterministically — no timestamps, no host
+//! Every campaign persists a schema-versioned JSON document: `BENCH`,
+//! `TELEM`, `SERVE` and `SCALE` trajectory points plus `FAULTS.json`.
+//! They share one envelope (`schema_version`, `generator`, then the
+//! kind's own members and row arrays), one trajectory naming scheme and
+//! one load/save path. This module owns all of it; a kind supplies only
+//! what is unique to it:
+//!
+//! * [`Row`] — a row kind's [`Envelope`], identity key and JSON
+//!   encode/decode. [`Store<R>`] is the `{schema_version, generator,
+//!   records}` document over such rows; [`RecordSet`],
+//!   [`ServeSet`](crate::ServeSet) and [`ScaleSet`](crate::ScaleSet) are
+//!   aliases of it. Documents with extra members
+//!   ([`FaultSet`](crate::FaultSet), `TelemSet`) build on [`Envelope`]
+//!   and [`rows`] directly.
+//! * [`StoreFile`] — `load`/`save` with path-prefixed errors, written
+//!   once for every document type.
+//! * [`Trajectory`] — the `<PREFIX>_<n>.json` convention: [`BENCH`],
+//!   [`TELEM`], [`SERVE`] and [`SCALE`].
+//! * [`diff_exact`] — the exact gate of a regenerated campaign against a
+//!   committed store; a kind passes its label and drift-cause summary.
+//!
+//! Documents serialize deterministically — no timestamps, no host
 //! information — so re-running an unchanged tree produces byte-identical
-//! files; the volatile simulator-throughput numbers ride in a separate
-//! [`WallClock`] sidecar instead.
-//!
-//! Trajectory convention: committed runs live at the repository root as
-//! `BENCH_0001.json`, `BENCH_0002.json`, … ([`bench_file_name`]);
-//! [`next_bench_index`] scans a directory for the first free index and
-//! [`list_bench_files`] returns the committed trajectory in index order.
+//! files.
 
 use std::path::{Path, PathBuf};
 
 use crate::json::Json;
-use crate::record::{RunRecord, SCHEMA_VERSION};
+use crate::record::RunRecord;
 
-/// An ordered collection of records from one run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecordSet {
-    /// Tool that produced the set, e.g. `"observatory run"`, `"table3"`.
-    pub generator: String,
-    /// The records, in run order.
-    pub records: Vec<RunRecord>,
+/// A document persisted as one canonical JSON file.
+pub trait StoreFile: Sized {
+    /// Render the canonical document.
+    fn encode(&self) -> String;
+
+    /// Parse a document produced by [`StoreFile::encode`].
+    fn decode(text: &str) -> Result<Self, String>;
+
+    /// Read and parse the file at `path`.
+    fn load(path: &Path) -> Result<Self, String> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        Self::decode(&text).map_err(|e| format!("{}: {e}", path.display()))
+    }
+
+    /// Write the canonical document to `path`.
+    fn save(&self, path: &Path) -> Result<(), String> {
+        std::fs::write(path, self.encode())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))
+    }
 }
 
-impl RecordSet {
+/// The header every store document opens with: the kind named in
+/// diagnostics and the schema version its readers speak.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Envelope {
+    /// Kind named in diagnostics, e.g. `scale`.
+    pub kind: &'static str,
+    /// Schema version written, and the only one accepted on read.
+    pub version: u64,
+}
+
+impl Envelope {
+    /// A document holding `schema_version` and `generator`; the caller
+    /// appends the kind's members in byte-contract order.
+    pub fn begin(self, generator: &str) -> Json {
+        Json::obj()
+            .with("schema_version", Json::Num(self.version as f64))
+            .with("generator", Json::Str(generator.to_string()))
+    }
+
+    /// Parse `text` and check its envelope, returning the document and
+    /// its generator. A schema-version mismatch is rejected outright: a
+    /// document written by a different schema must be regenerated, not
+    /// reinterpreted.
+    pub fn open(self, text: &str) -> Result<(Json, String), String> {
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
+        let found = doc
+            .get("schema_version")
+            .and_then(Json::as_u64)
+            .ok_or("document missing 'schema_version'")?;
+        if found != self.version {
+            return Err(format!(
+                "{} schema version mismatch: file has v{found}, this tool speaks v{} \
+                 — regenerate the store",
+                self.kind, self.version
+            ));
+        }
+        let generator = doc
+            .get("generator")
+            .and_then(Json::as_str)
+            .ok_or("document missing 'generator'")?
+            .to_string();
+        Ok((doc, generator))
+    }
+}
+
+/// Decode the row array `name` of a store document.
+pub fn rows<T>(
+    doc: &Json,
+    name: &str,
+    decode: impl FnMut(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    doc.get(name)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("document missing '{name}' array"))?
+        .iter()
+        .map(decode)
+        .collect()
+}
+
+/// What a row kind of a [`Store`] supplies.
+pub trait Row: Sized {
+    /// The envelope of the row kind's store documents.
+    const ENVELOPE: Envelope;
+
+    /// Identity key within a store, e.g. `dot[k=2,n=2048]`.
+    fn identity(&self) -> String;
+
+    /// Serialize to the canonical JSON tree (member order fixed).
+    fn to_json(&self) -> Json;
+
+    /// Deserialize from the canonical JSON tree.
+    fn from_json(json: &Json) -> Result<Self, String>;
+}
+
+/// An ordered collection of rows from one run: the
+/// `{schema_version, generator, records}` document.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Store<R> {
+    /// Tool that produced the set, e.g. `"observatory"`, `"table3"`.
+    pub generator: String,
+    /// The rows, in run order.
+    pub records: Vec<R>,
+}
+
+/// The paper-matrix record set, persisted as `BENCH_<n>.json`.
+pub type RecordSet = Store<RunRecord>;
+
+impl<R: Row> Store<R> {
     /// An empty set for `generator`.
     pub fn new(generator: &str) -> Self {
         Self {
@@ -36,412 +148,207 @@ impl RecordSet {
         }
     }
 
-    /// Append a record.
-    pub fn push(&mut self, record: RunRecord) {
+    /// Append a row.
+    pub fn push(&mut self, record: R) {
         self.records.push(record);
     }
 
-    /// Find a record by its identity key.
-    pub fn find(&self, key: &str) -> Option<&RunRecord> {
-        self.records.iter().find(|r| r.key() == key)
+    /// Find a row by its identity key.
+    pub fn find(&self, key: &str) -> Option<&R> {
+        self.records.iter().find(|r| r.identity() == key)
     }
 
     /// Serialize to the canonical byte-deterministic JSON document.
     pub fn to_json_string(&self) -> String {
-        Json::obj()
-            .with("schema_version", Json::Num(SCHEMA_VERSION as f64))
-            .with("generator", Json::Str(self.generator.clone()))
+        R::ENVELOPE
+            .begin(&self.generator)
             .with(
                 "records",
-                Json::Arr(self.records.iter().map(RunRecord::to_json).collect()),
+                Json::Arr(self.records.iter().map(R::to_json).collect()),
             )
             .render()
     }
 
-    /// Parse a document produced by [`RecordSet::to_json_string`].
-    ///
-    /// Rejects schema-version mismatches outright: a record written by a
-    /// different schema must be regenerated, not reinterpreted.
+    /// Parse a document produced by [`Store::to_json_string`].
     pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "document missing 'schema_version'".to_string())?;
-        if version != SCHEMA_VERSION {
-            return Err(format!(
-                "schema version mismatch: file has v{version}, this tool speaks v{SCHEMA_VERSION} \
-                 — regenerate the record set"
-            ));
-        }
-        let generator = doc
-            .get("generator")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "document missing 'generator'".to_string())?
-            .to_string();
-        let records = doc
-            .get("records")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "document missing 'records' array".to_string())?
-            .iter()
-            .map(RunRecord::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
+        let (doc, generator) = R::ENVELOPE.open(text)?;
+        let records = rows(&doc, "records", R::from_json)?;
         Ok(Self { generator, records })
     }
+}
 
-    /// Read and parse a record-set file.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json_str(&text).map_err(|e| format!("{}: {e}", path.display()))
+impl<R: Row> StoreFile for Store<R> {
+    fn encode(&self) -> String {
+        self.to_json_string()
     }
 
-    /// Write the canonical document to `path`.
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.to_json_string())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))
+    fn decode(text: &str) -> Result<Self, String> {
+        Self::from_json_str(text)
     }
 }
 
-/// One simulated run's volatile throughput measurements.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WallClockEntry {
-    /// Record identity key, e.g. `dot[k=2,n=2048]`.
-    pub key: String,
-    /// Simulated cycles the record accounts for.
-    pub cycles: u64,
-    /// Cycles the harness stepped one `Design::cycle` at a time — the
-    /// remainder were fast-forwarded through a fused replay. Equal to
-    /// `cycles` on the cycle backend; the per-run cycle-compression
-    /// ratio is `cycles / stepped_cycles`.
-    pub stepped_cycles: u64,
-    /// Host wall seconds the run took.
-    pub seconds: f64,
-}
-
-/// Volatile per-run simulator-throughput measurements, kept out of the
-/// deterministic record set. One entry per simulated record: the key and
-/// the host wall-clock rate at which the harness retired simulated cycles.
-///
-/// Since the matrix can run on a worker pool, the sidecar also carries the
-/// job count and the end-to-end elapsed time, from which it derives the
-/// aggregate speedup (sum of per-entry seconds over elapsed seconds) and a
-/// per-entry `speedup_share` (that entry's contribution to the aggregate).
-/// Since the matrix can also run under an accelerated execution backend,
-/// it carries the backend name and the stepped-cycle totals from which
-/// the backend cycle-compression ratio ([`WallClock::backend_speedup`])
-/// is derived.
+/// Result of exactly gating a regenerated campaign against a baseline
+/// store.
 #[derive(Debug, Clone)]
-pub struct WallClock {
-    /// Per-run measurements, in record order.
-    pub entries: Vec<WallClockEntry>,
-    /// Worker count the matrix ran with (1 = serial).
-    pub jobs: u64,
-    /// Execution backend the matrix ran under (`cycle`, `fast-forward`
-    /// or `native`) — provenance only; the record bytes are
-    /// backend-invariant.
-    pub backend: String,
-    /// End-to-end wall time for the whole matrix. Under a pool this is
-    /// less than [`WallClock::total_seconds`]; 0.0 means "not measured".
-    pub elapsed_seconds: f64,
-    /// Telemetry window width (cycles) the matrix ran with, `None` when
-    /// windowed telemetry was disabled. Provenance for the sidecar's
-    /// sibling `TELEM_<n>.json` store; the record bytes are
-    /// telemetry-invariant either way.
-    pub telemetry_window: Option<u64>,
+pub struct ExactDiff {
+    /// Store kind named in the verdict line, e.g. `scale`.
+    pub label: &'static str,
+    /// Human-readable per-row findings, in baseline order.
+    pub lines: Vec<String>,
+    /// Number of gate failures (0 means the diff passes).
+    pub failures: u64,
 }
 
-impl Default for WallClock {
-    fn default() -> Self {
-        Self {
-            entries: Vec::new(),
-            jobs: 1,
-            backend: "cycle".to_string(),
-            elapsed_seconds: 0.0,
-            telemetry_window: None,
+impl ExactDiff {
+    /// Whether the regenerated campaign matches the baseline.
+    pub fn pass(&self) -> bool {
+        self.failures == 0
+    }
+
+    /// Render the findings (one line each) followed by a verdict line.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for line in &self.lines {
+            out.push_str(line);
+            out.push('\n');
         }
-    }
-}
-
-impl WallClock {
-    /// An empty sidecar.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one run.
-    pub fn push(&mut self, key: &str, cycles: u64, stepped_cycles: u64, seconds: f64) {
-        self.entries.push(WallClockEntry {
-            key: key.to_string(),
-            cycles,
-            stepped_cycles,
-            seconds,
-        });
-    }
-
-    /// Total simulated cycles across entries.
-    pub fn total_cycles(&self) -> u64 {
-        self.entries.iter().map(|e| e.cycles).sum()
-    }
-
-    /// Total cycles stepped one at a time across entries.
-    pub fn total_stepped_cycles(&self) -> u64 {
-        self.entries.iter().map(|e| e.stepped_cycles).sum()
-    }
-
-    /// Backend cycle-compression ratio: simulated cycles accounted for
-    /// per cycle actually stepped. 1.0 on the cycle backend; under
-    /// fast-forward the ratio is what the fused replays bought. 0 when
-    /// nothing was stepped at all (the same zero-denominator clamp the
-    /// rates use).
-    pub fn backend_speedup(&self) -> f64 {
-        let stepped = self.total_stepped_cycles();
-        if stepped > 0 {
-            self.total_cycles() as f64 / stepped as f64
+        if self.pass() {
+            out.push_str(&format!("{} diff: PASS\n", self.label));
         } else {
-            0.0
-        }
-    }
-
-    /// Total wall seconds across entries.
-    pub fn total_seconds(&self) -> f64 {
-        self.entries.iter().map(|e| e.seconds).sum()
-    }
-
-    /// Aggregate simulated cycles per wall second (0 if nothing ran).
-    pub fn cycles_per_second(&self) -> f64 {
-        let s = self.total_seconds();
-        if s > 0.0 {
-            self.total_cycles() as f64 / s
-        } else {
-            0.0
-        }
-    }
-
-    /// Parallel speedup: sum of per-entry seconds over end-to-end elapsed
-    /// seconds. 1.0 means no overlap (serial); `jobs`-way overlap
-    /// approaches `jobs`. 0 when elapsed time was not measured — the same
-    /// clamp the per-entry rates use, so a coarse clock reading 0.0
-    /// seconds never turns into an `inf` in the sidecar.
-    pub fn aggregate_speedup(&self) -> f64 {
-        if self.elapsed_seconds > 0.0 {
-            self.total_seconds() / self.elapsed_seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// Serialize the sidecar (not byte-deterministic — contains timings).
-    ///
-    /// Every rate is guarded against a zero denominator (a fast entry can
-    /// measure 0.0 seconds on a coarse clock) and rendered as 0 rather
-    /// than `inf`; the JSON writer would otherwise have to degrade the
-    /// value to `null`.
-    pub fn to_json_string(&self) -> String {
-        let mut doc = Json::obj()
-            .with("schema_version", Json::Num(SCHEMA_VERSION as f64))
-            .with("jobs", Json::Num(self.jobs as f64))
-            .with("backend", Json::Str(self.backend.clone()))
-            .with(
-                "telemetry_enabled",
-                Json::Bool(self.telemetry_window.is_some()),
-            );
-        // The window key is present exactly when telemetry ran; the
-        // sidecar never renders `null` (see the zero-rate regression).
-        if let Some(w) = self.telemetry_window {
-            doc.set("telemetry_window", Json::Num(w as f64));
-        }
-        doc.with("sim_cycles_per_second", Json::Num(self.cycles_per_second()))
-            .with("total_cycles", Json::Num(self.total_cycles() as f64))
-            .with(
-                "total_stepped_cycles",
-                Json::Num(self.total_stepped_cycles() as f64),
-            )
-            .with("backend_speedup", Json::Num(self.backend_speedup()))
-            .with("total_seconds", Json::Num(self.total_seconds()))
-            .with("elapsed_seconds", Json::Num(self.elapsed_seconds))
-            .with("aggregate_speedup", Json::Num(self.aggregate_speedup()))
-            .with(
-                "runs",
-                Json::Arr(
-                    self.entries
-                        .iter()
-                        .map(|e| {
-                            Json::obj()
-                                .with("key", Json::Str(e.key.clone()))
-                                .with("cycles", Json::Num(e.cycles as f64))
-                                .with("stepped_cycles", Json::Num(e.stepped_cycles as f64))
-                                .with(
-                                    "backend_speedup",
-                                    Json::Num(if e.stepped_cycles > 0 {
-                                        e.cycles as f64 / e.stepped_cycles as f64
-                                    } else {
-                                        0.0
-                                    }),
-                                )
-                                .with("seconds", Json::Num(e.seconds))
-                                .with(
-                                    "cycles_per_second",
-                                    Json::Num(if e.seconds > 0.0 {
-                                        e.cycles as f64 / e.seconds
-                                    } else {
-                                        0.0
-                                    }),
-                                )
-                                .with(
-                                    "speedup_share",
-                                    Json::Num(if self.elapsed_seconds > 0.0 {
-                                        e.seconds / self.elapsed_seconds
-                                    } else {
-                                        0.0
-                                    }),
-                                )
-                        })
-                        .collect(),
-                ),
-            )
-            .render()
-    }
-
-    /// Parse a sidecar document written by [`WallClock::to_json_string`].
-    ///
-    /// Validates the schema version and the telemetry-config fields —
-    /// `telemetry_enabled` must agree with `telemetry_window` being a
-    /// number — so `observatory diff` can reject a sidecar whose
-    /// provenance was hand-edited into inconsistency. Derived rates
-    /// (`backend_speedup`, `cycles_per_second`, …) are recomputed from
-    /// the parsed entries, not read back.
-    pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "sidecar missing 'schema_version'".to_string())?;
-        if version != SCHEMA_VERSION {
-            return Err(format!(
-                "sidecar schema version mismatch: file has v{version}, this tool speaks \
-                 v{SCHEMA_VERSION}"
+            out.push_str(&format!(
+                "{} diff: FAIL ({} finding(s))\n",
+                self.label, self.failures
             ));
         }
-        let jobs = doc
-            .get("jobs")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "sidecar missing 'jobs'".to_string())?;
-        let backend = doc
-            .get("backend")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "sidecar missing 'backend'".to_string())?
-            .to_string();
-        let enabled = doc
-            .get("telemetry_enabled")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| "sidecar missing 'telemetry_enabled'".to_string())?;
-        let telemetry_window = match (enabled, doc.get("telemetry_window")) {
-            (true, Some(w)) => {
-                Some(w.as_u64().filter(|&w| w >= 1).ok_or_else(|| {
-                    "sidecar telemetry_window is not a positive integer".to_string()
-                })?)
-            }
-            (true, None) => {
-                return Err(
-                    "sidecar telemetry_enabled=true but telemetry_window is missing".to_string(),
-                )
-            }
-            (false, None) => None,
-            (false, Some(_)) => {
-                return Err(
-                    "sidecar telemetry_enabled=false but telemetry_window is set".to_string(),
-                )
-            }
-        };
-        let elapsed_seconds = doc
-            .get("elapsed_seconds")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| "sidecar missing 'elapsed_seconds'".to_string())?;
-        let runs = doc
-            .get("runs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "sidecar missing 'runs' array".to_string())?;
-        let mut wall = WallClock {
-            entries: Vec::with_capacity(runs.len()),
-            jobs,
-            backend,
-            elapsed_seconds,
-            telemetry_window,
-        };
-        for run in runs {
-            let key = run
-                .get("key")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "sidecar run missing 'key'".to_string())?;
-            let field = |name: &str| {
-                run.get(name)
-                    .ok_or_else(|| format!("sidecar run {key} missing '{name}'"))
-            };
-            wall.push(
-                key,
-                field("cycles")?
-                    .as_u64()
-                    .ok_or_else(|| format!("sidecar run {key}: bad 'cycles'"))?,
-                field("stepped_cycles")?
-                    .as_u64()
-                    .ok_or_else(|| format!("sidecar run {key}: bad 'stepped_cycles'"))?,
-                field("seconds")?
-                    .as_f64()
-                    .ok_or_else(|| format!("sidecar run {key}: bad 'seconds'"))?,
-            );
-        }
-        Ok(wall)
-    }
-
-    /// Read and parse a sidecar file.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json_str(&text).map_err(|e| format!("{}: {e}", path.display()))
+        out
     }
 }
 
-/// File name of trajectory point `index`: `BENCH_0007.json`.
-pub fn bench_file_name(index: u64) -> String {
-    format!("BENCH_{index:04}.json")
-}
-
-/// Parse an index out of a `BENCH_<n>.json` file name.
-pub fn parse_bench_index(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("BENCH_")?.strip_suffix(".json")?;
-    // Reject the wall-clock sidecars (`BENCH_0001.wallclock.json`).
-    if rest.contains('.') {
-        return None;
-    }
-    rest.parse().ok()
-}
-
-/// The `BENCH_*.json` files in `dir`, sorted by index.
-pub fn list_bench_files(dir: &Path) -> Vec<(u64, PathBuf)> {
-    let mut found = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if let Some(index) = entry.file_name().to_str().and_then(parse_bench_index) {
-                found.push((index, entry.path()));
+/// Strict comparison of a regenerated campaign against a committed
+/// baseline.
+///
+/// Campaigns are deterministic end to end, so the gate is exact: every
+/// baseline row must exist, by identity key, with every field equal.
+/// A drifted row is reported with `causes(current, baseline)`, the
+/// kind's summary of what moved. Rows present only in `current` are
+/// informational (new cells are how a campaign grows) and do not fail
+/// the gate.
+pub fn diff_exact<R: Row + PartialEq>(
+    current: &Store<R>,
+    baseline: &Store<R>,
+    label: &'static str,
+    causes: impl Fn(&R, &R) -> Vec<String>,
+) -> ExactDiff {
+    let mut diff = ExactDiff {
+        label,
+        lines: Vec::new(),
+        failures: 0,
+    };
+    for base in &baseline.records {
+        let key = base.identity();
+        match current.find(&key) {
+            None => {
+                diff.lines
+                    .push(format!("{key}: MISSING from regenerated campaign"));
+                diff.failures += 1;
+            }
+            Some(cur) if cur == base => diff.lines.push(format!("{key}: ok")),
+            Some(cur) => {
+                let mut found = causes(cur, base);
+                if found.is_empty() {
+                    found.push("field drift outside summarized counters".to_string());
+                }
+                diff.lines
+                    .push(format!("{key}: DRIFT — {}", found.join("; ")));
+                diff.failures += 1;
             }
         }
     }
-    found.sort_by_key(|&(index, _)| index);
-    found
+    for cur in &current.records {
+        let key = cur.identity();
+        if baseline.find(&key).is_none() {
+            diff.lines
+                .push(format!("{key}: new cell (not in baseline)"));
+        }
+    }
+    diff
 }
 
-/// First unused trajectory index in `dir` (1-based).
-pub fn next_bench_index(dir: &Path) -> u64 {
-    list_bench_files(dir)
-        .last()
-        .map_or(1, |&(index, _)| index + 1)
+/// The `<PREFIX>_<n>.json` naming convention of one store kind.
+///
+/// Committed points live at the repository root as `BENCH_0001.json`,
+/// `BENCH_0002.json`, …; [`Trajectory::next_index`] finds the first
+/// free index and [`Trajectory::list`] returns the points in index
+/// order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Trajectory {
+    /// File-name prefix, e.g. `BENCH`.
+    pub prefix: &'static str,
+}
+
+/// The paper-matrix record trajectory.
+pub const BENCH: Trajectory = Trajectory { prefix: "BENCH" };
+/// The windowed-telemetry trajectory, one point per `BENCH` point.
+pub const TELEM: Trajectory = Trajectory { prefix: "TELEM" };
+/// The serving-campaign trajectory.
+pub const SERVE: Trajectory = Trajectory { prefix: "SERVE" };
+/// The multi-FPGA scaling trajectory.
+pub const SCALE: Trajectory = Trajectory { prefix: "SCALE" };
+
+impl Trajectory {
+    /// Label of point `index`: `BENCH_0007`.
+    pub fn label(self, index: u64) -> String {
+        format!("{}_{index:04}", self.prefix)
+    }
+
+    /// File name of point `index`: `BENCH_0007.json`.
+    pub fn file_name(self, index: u64) -> String {
+        format!("{}.json", self.label(index))
+    }
+
+    /// File name of point `index`'s host-time sidecar:
+    /// `BENCH_0007.wallclock.json`.
+    pub fn wallclock_name(self, index: u64) -> String {
+        format!("{}.wallclock.json", self.label(index))
+    }
+
+    /// Parse an index out of a `<PREFIX>_<n>.json` file name. Sidecars
+    /// (any `.` before `.json`) are not points.
+    pub fn parse_index(self, name: &str) -> Option<u64> {
+        let rest = name
+            .strip_prefix(self.prefix)?
+            .strip_prefix('_')?
+            .strip_suffix(".json")?;
+        if rest.contains('.') {
+            return None;
+        }
+        rest.parse().ok()
+    }
+
+    /// The points in `dir`, sorted by index.
+    pub fn list(self, dir: &Path) -> Vec<(u64, PathBuf)> {
+        let mut found = Vec::new();
+        if let Ok(entries) = std::fs::read_dir(dir) {
+            for entry in entries.flatten() {
+                if let Some(index) = entry.file_name().to_str().and_then(|n| self.parse_index(n)) {
+                    found.push((index, entry.path()));
+                }
+            }
+        }
+        found.sort_by_key(|&(index, _)| index);
+        found
+    }
+
+    /// First unused index in `dir` (1-based).
+    pub fn next_index(self, dir: &Path) -> u64 {
+        self.list(dir).last().map_or(1, |&(index, _)| index + 1)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::StallBreakdown;
+    use crate::record::{StallBreakdown, SCHEMA_VERSION};
     use fblas_sim::SimReport;
 
     fn sample_set() -> RecordSet {
@@ -493,196 +400,168 @@ mod tests {
         assert!(err.contains("schema version mismatch"), "{err}");
     }
 
+    /// IO and parse errors from `load`/`save` start with the path; a
+    /// schema mismatch names the kind and says to regenerate.
     #[test]
-    fn bench_file_names() {
-        assert_eq!(bench_file_name(3), "BENCH_0003.json");
-        assert_eq!(parse_bench_index("BENCH_0003.json"), Some(3));
-        assert_eq!(parse_bench_index("BENCH_12.json"), Some(12));
-        assert_eq!(parse_bench_index("BENCH_0003.wallclock.json"), None);
-        assert_eq!(parse_bench_index("baseline.json"), None);
+    fn load_and_save_errors_name_the_path_and_kind() {
+        let path = std::env::temp_dir().join(format!("fblas-bump-{}.json", std::process::id()));
+        let bumped = sample_set().to_json_string().replacen(
+            "\"schema_version\": 1",
+            "\"schema_version\": 9",
+            1,
+        );
+        std::fs::write(&path, bumped).unwrap();
+        let err = RecordSet::load(&path).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        let expected = format!(
+            "{}: bench schema version mismatch: file has v9, this tool speaks v1 — regenerate the store",
+            path.display()
+        );
+        assert_eq!(err, expected);
+        let missing = Path::new("no/such/dir/BENCH_0001.json");
+        let err = RecordSet::load(missing).unwrap_err();
+        assert!(
+            err.starts_with("cannot read no/such/dir/BENCH_0001.json"),
+            "{err}"
+        );
+        let err = sample_set().save(missing).unwrap_err();
+        assert!(
+            err.starts_with("cannot write no/such/dir/BENCH_0001.json"),
+            "{err}"
+        );
     }
 
+    /// Every kind names, parses, lists and indexes its points the same
+    /// way; sidecars and other kinds' files are not points.
     #[test]
-    fn trajectory_scan_and_next_index() {
-        let dir = std::env::temp_dir().join("fblas_metrics_store_test");
+    fn trajectory_naming_scan_and_next_index_for_every_kind() {
+        let dir = std::env::temp_dir().join(format!("fblas-trajectory-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(next_bench_index(&dir), 1);
         let set = sample_set();
-        set.save(&dir.join(bench_file_name(1))).unwrap();
-        set.save(&dir.join(bench_file_name(2))).unwrap();
-        std::fs::write(dir.join("BENCH_0002.wallclock.json"), "{}").unwrap();
-        let files = list_bench_files(&dir);
-        assert_eq!(files.iter().map(|&(i, _)| i).collect::<Vec<_>>(), [1, 2]);
-        assert_eq!(next_bench_index(&dir), 3);
-        let loaded = RecordSet::load(&files[0].1).unwrap();
-        assert_eq!(loaded, set);
+        for (kind, other) in [
+            (BENCH, TELEM),
+            (TELEM, SERVE),
+            (SERVE, SCALE),
+            (SCALE, BENCH),
+        ] {
+            let p = kind.prefix;
+            assert_eq!(kind.file_name(3), format!("{p}_0003.json"));
+            assert_eq!(kind.label(12), format!("{p}_0012"));
+            assert_eq!(kind.wallclock_name(3), format!("{p}_0003.wallclock.json"));
+            assert_eq!(kind.parse_index(&kind.file_name(3)), Some(3));
+            assert_eq!(kind.parse_index(&format!("{p}_12.json")), Some(12));
+            assert_eq!(kind.parse_index(&kind.wallclock_name(3)), None);
+            assert_eq!(kind.parse_index(&format!("{p}_1.2.json")), None);
+            assert_eq!(kind.parse_index(&format!("{p}_x.json")), None);
+            assert_eq!(kind.parse_index(&format!("{p}0003.json")), None);
+            assert_eq!(kind.parse_index(&other.file_name(3)), None);
+            assert_eq!(kind.parse_index("baseline.json"), None);
+
+            assert_eq!(kind.next_index(&dir), 1);
+            set.save(&dir.join(kind.file_name(1))).unwrap();
+            set.save(&dir.join(kind.file_name(3))).unwrap();
+            std::fs::write(dir.join(kind.wallclock_name(3)), "{}").unwrap();
+            let files = kind.list(&dir);
+            assert_eq!(files.iter().map(|&(i, _)| i).collect::<Vec<_>>(), [1, 3]);
+            assert_eq!(kind.next_index(&dir), 4);
+            assert_eq!(RecordSet::load(&files[1].1).unwrap(), set);
+            for (_, path) in files {
+                std::fs::remove_file(path).unwrap();
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn wallclock_aggregates() {
-        let mut w = WallClock::new();
-        w.push("dot[k=2,n=64]", 1000, 1000, 0.5);
-        w.push("mvm[k=4,n=64]", 3000, 3000, 0.5);
-        assert_eq!(w.total_cycles(), 4000);
-        assert!((w.cycles_per_second() - 4000.0).abs() < 1e-9);
-        let text = w.to_json_string();
-        assert!(text.contains("sim_cycles_per_second"));
-        assert_eq!(WallClock::new().cycles_per_second(), 0.0);
+    fn exact_diff_reports_ok_drift_missing_and_new_rows() {
+        let set = sample_set();
+        let no_causes = |_: &RunRecord, _: &RunRecord| Vec::new();
+        let diff = diff_exact(&set, &set, "bench", no_causes);
+        assert!(diff.pass());
+        assert_eq!(diff.lines, ["dot[k=2,n=64]: ok", "mm/model[k=10]: ok"]);
+        assert!(diff.render().ends_with("bench diff: PASS\n"));
+
+        let mut drifted = set.clone();
+        drifted.records[0].cycles += 1;
+        let diff = diff_exact(&drifted, &set, "bench", |cur, base| {
+            vec![format!("cycles {} != baseline {}", cur.cycles, base.cycles)]
+        });
+        assert_eq!(diff.failures, 1);
+        assert_eq!(
+            diff.lines[0],
+            "dot[k=2,n=64]: DRIFT — cycles 41 != baseline 40"
+        );
+        assert!(diff.render().ends_with("bench diff: FAIL (1 finding(s))\n"));
+        let diff = diff_exact(&drifted, &set, "bench", no_causes);
+        assert!(diff.lines[0].ends_with("DRIFT — field drift outside summarized counters"));
+
+        let mut shrunk = set.clone();
+        shrunk.records.pop();
+        let diff = diff_exact(&shrunk, &set, "bench", no_causes);
+        assert_eq!(diff.failures, 1);
+        assert_eq!(
+            diff.lines[1],
+            "mm/model[k=10]: MISSING from regenerated campaign"
+        );
+        let diff = diff_exact(&set, &shrunk, "bench", no_causes);
+        assert!(diff.pass());
+        assert_eq!(diff.lines[1], "mm/model[k=10]: new cell (not in baseline)");
+    }
+}
+
+#[cfg(test)]
+mod properties {
+    use super::*;
+    use crate::json::properties::arb_text;
+    use crate::{FaultSet, ScaleSet, ServeSet};
+    use proptest::prelude::*;
+
+    const COMMITTED: [&str; 4] = [
+        include_str!("../../../BENCH_0001.json"),
+        include_str!("../../../SERVE_0001.json"),
+        include_str!("../../../SCALE_0001.json"),
+        include_str!("../../../FAULTS.json"),
+    ];
+
+    fn parse(kind: usize, text: &str) {
+        let _ = match kind {
+            0 => RecordSet::from_json_str(text).map(drop),
+            1 => ServeSet::from_json_str(text).map(drop),
+            2 => ScaleSet::from_json_str(text).map(drop),
+            _ => FaultSet::from_json_str(text).map(drop),
+        };
     }
 
-    /// Backend accounting: the sidecar names the backend, totals the
-    /// stepped cycles, and derives the cycle-compression ratio with the
-    /// usual zero-denominator clamp.
-    #[test]
-    fn wallclock_backend_speedup_fields() {
-        let mut w = WallClock::new();
-        assert_eq!(w.backend, "cycle", "cycle by default");
-        assert_eq!(w.backend_speedup(), 0.0, "empty sidecar clamps");
-        w.backend = "fast-forward".to_string();
-        w.push("dot[k=2,n=64]", 1000, 100, 0.1);
-        w.push("mvm[k=4,n=64]", 3000, 300, 0.1);
-        assert_eq!(w.total_stepped_cycles(), 400);
-        assert!((w.backend_speedup() - 10.0).abs() < 1e-12);
-        let doc = Json::parse(&w.to_json_string()).unwrap();
-        assert_eq!(
-            doc.get("backend").and_then(Json::as_str),
-            Some("fast-forward")
-        );
-        assert_eq!(
-            doc.get("total_stepped_cycles").and_then(Json::as_u64),
-            Some(400)
-        );
-        assert_eq!(
-            doc.get("backend_speedup").and_then(Json::as_f64),
-            Some(10.0)
-        );
-        let runs = doc.get("runs").and_then(Json::as_arr).unwrap();
-        assert_eq!(
-            runs[0].get("stepped_cycles").and_then(Json::as_u64),
-            Some(100)
-        );
-        assert_eq!(
-            runs[0].get("backend_speedup").and_then(Json::as_f64),
-            Some(10.0)
-        );
+    fn boundary(text: &str, mut at: usize) -> usize {
+        at = at.min(text.len());
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        at
     }
 
-    /// Regression for the sidecar rate math: an entry that measures 0.0
-    /// seconds (coarse host clock) must render a rate of 0, not `inf` or
-    /// `null`, and the document must stay parseable.
-    #[test]
-    fn wallclock_zero_second_entry_renders_zero_rate() {
-        let mut w = WallClock::new();
-        w.push("dot[k=2,n=64]", 1000, 1000, 0.0);
-        assert_eq!(w.cycles_per_second(), 0.0);
-        let text = w.to_json_string();
-        assert!(!text.contains("inf") && !text.contains("null"), "{text}");
-        let doc = Json::parse(&text).unwrap();
-        let runs = doc.get("runs").and_then(Json::as_arr).unwrap();
-        assert_eq!(
-            runs[0].get("cycles_per_second").and_then(Json::as_f64),
-            Some(0.0)
-        );
-        assert_eq!(
-            runs[0].get("speedup_share").and_then(Json::as_f64),
-            Some(0.0)
-        );
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Speedup accounting: shares sum to the aggregate, the aggregate is
-    /// total-over-elapsed, and an unmeasured elapsed time clamps to 0.
-    #[test]
-    fn wallclock_speedup_fields() {
-        let mut w = WallClock::new();
-        assert_eq!(w.jobs, 1, "serial by default");
-        assert_eq!(w.aggregate_speedup(), 0.0, "unmeasured elapsed clamps");
-        w.push("dot[k=2,n=64]", 1000, 1000, 1.5);
-        w.push("mvm[k=4,n=64]", 3000, 3000, 0.5);
-        w.jobs = 2;
-        w.elapsed_seconds = 1.0;
-        assert!((w.aggregate_speedup() - 2.0).abs() < 1e-12);
-        let doc = Json::parse(&w.to_json_string()).unwrap();
-        assert_eq!(doc.get("jobs").and_then(Json::as_u64), Some(2));
-        assert_eq!(doc.get("elapsed_seconds").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(
-            doc.get("aggregate_speedup").and_then(Json::as_f64),
-            Some(2.0)
-        );
-        let runs = doc.get("runs").and_then(Json::as_arr).unwrap();
-        let shares: f64 = runs
-            .iter()
-            .map(|r| r.get("speedup_share").and_then(Json::as_f64).unwrap())
-            .sum();
-        assert!((shares - w.aggregate_speedup()).abs() < 1e-12);
-    }
+        #[test]
+        fn store_parsers_never_panic(kind in 0..4usize, text in arb_text()) {
+            parse(kind, &text);
+        }
 
-    /// Satellite contract: the sidecar carries its telemetry config,
-    /// round-trips through the parser, and the parser rejects both
-    /// schema-version mismatches and inconsistent telemetry fields.
-    #[test]
-    fn wallclock_telemetry_fields_round_trip() {
-        let mut w = WallClock::new();
-        w.jobs = 4;
-        w.backend = "fast-forward".to_string();
-        w.elapsed_seconds = 0.25;
-        w.telemetry_window = Some(4096);
-        w.push("dot[k=2,n=64]", 1000, 100, 0.125);
-        let text = w.to_json_string();
-        let doc = Json::parse(&text).unwrap();
-        assert_eq!(
-            doc.get("telemetry_enabled").and_then(Json::as_bool),
-            Some(true)
-        );
-        assert_eq!(
-            doc.get("telemetry_window").and_then(Json::as_u64),
-            Some(4096)
-        );
-        let parsed = WallClock::from_json_str(&text).unwrap();
-        assert_eq!(parsed.telemetry_window, Some(4096));
-        assert_eq!(parsed.jobs, 4);
-        assert_eq!(parsed.backend, "fast-forward");
-        assert_eq!(parsed.entries, w.entries);
-        assert!((parsed.backend_speedup() - 10.0).abs() < 1e-12);
-
-        // Disabled telemetry: no window key, parses back to None.
-        w.telemetry_window = None;
-        let text = w.to_json_string();
-        assert!(!text.contains("telemetry_window"));
-        assert_eq!(
-            WallClock::from_json_str(&text).unwrap().telemetry_window,
-            None
-        );
-    }
-
-    #[test]
-    fn wallclock_parser_rejects_bad_documents() {
-        let mut w = WallClock::new();
-        w.telemetry_window = Some(64);
-        w.push("dot[k=2,n=64]", 1000, 1000, 0.1);
-        let text = w.to_json_string();
-
-        let bumped = text.replacen(
-            &format!("\"schema_version\": {SCHEMA_VERSION}"),
-            &format!("\"schema_version\": {}", SCHEMA_VERSION + 1),
-            1,
-        );
-        let err = WallClock::from_json_str(&bumped).unwrap_err();
-        assert!(err.contains("schema version mismatch"), "{err}");
-
-        // telemetry_enabled=true with the window edited away.
-        let clipped = text.replacen("  \"telemetry_window\": 64,\n", "", 1);
-        let err = WallClock::from_json_str(&clipped).unwrap_err();
-        assert!(err.contains("telemetry_window is missing"), "{err}");
-
-        // telemetry_enabled hand-flipped to false with the window left in.
-        let flipped = text.replacen(
-            "\"telemetry_enabled\": true",
-            "\"telemetry_enabled\": false",
-            1,
-        );
-        let err = WallClock::from_json_str(&flipped).unwrap_err();
-        assert!(err.contains("telemetry_window is set"), "{err}");
+        /// Damage a committed file (cut a span, splice in arbitrary
+        /// text) so the decoders see almost-valid rows.
+        #[test]
+        fn store_parsers_never_panic_on_damaged_committed_files(
+            kind in 0..4usize,
+            at in 0.0f64..1.0,
+            cut in 0..24usize,
+            junk in arb_text(),
+        ) {
+            let text = COMMITTED[kind];
+            let start = boundary(text, (at * text.len() as f64) as usize);
+            let end = boundary(text, start + cut);
+            parse(kind, &format!("{}{junk}{}", &text[..start], &text[end..]));
+        }
     }
 }

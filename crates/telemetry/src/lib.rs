@@ -9,7 +9,9 @@
 //! * [`store`] — the schema-versioned `TELEM_<n>.json` trajectory store,
 //!   the telemetry analogue of `BENCH_<n>.json`: one run-length-encoded
 //!   [`TelemRun`] per paper-matrix entry, byte-deterministic at any
-//!   `--jobs` count and under every execution backend.
+//!   `--jobs` count and under every execution backend. It supplies only
+//!   its `window` member and run encoding; envelope, load/save and
+//!   trajectory naming are the shared `fblas_metrics::store` mechanism.
 //! * [`phases`] — fill/steady/drain phase segmentation of a run's busy
 //!   series, plus the paper's steady-state efficiency model: streaming
 //!   kernels sustain `n/(n+α)` of peak (§4.2) and the blocked multiplier
@@ -45,8 +47,5 @@ pub use phases::{
     efficiency_row, segment, steady_model, EfficiencyRow, PhaseSplit, STEADY_MODELS, STEADY_TOL,
 };
 pub use registry::{lookup, METRICS};
-pub use store::{
-    list_telem_files, next_telem_index, parse_telem_index, telem_file_name, TelemRun, TelemSet,
-    TELEM_SCHEMA_VERSION,
-};
+pub use store::{TelemRun, TelemSet, TELEM_SCHEMA_VERSION};
 pub use trend::{render_trend_section, splice_trend_section, TREND_BEGIN, TREND_END};

@@ -14,19 +14,22 @@
 //! count and under every execution backend (the telemetry parity suites
 //! prove the underlying series equal; this module only serializes them).
 //!
-//! Trajectory convention: committed stores live at the repository root
-//! as `TELEM_0001.json`, `TELEM_0002.json`, … mirroring the `BENCH_*`
-//! convention, and `observatory trend` reads them oldest-first.
+//! The envelope, load/save and the `TELEM_<n>.json` trajectory naming
+//! ([`fblas_metrics::TELEM`]) are the shared `fblas_metrics::store`
+//! mechanism; `observatory trend` reads the points oldest-first.
 
-use std::path::{Path, PathBuf};
-
-use fblas_metrics::json::{rle_decode, rle_encode};
-use fblas_metrics::Json;
+use fblas_metrics::json::{rle_decode, rle_encode, Members};
+use fblas_metrics::{rows, Envelope, Json, StoreFile};
 use fblas_sim::{CompSeries, LogHistogram, StallCause, TelemSeries};
 
 /// Version of the telemetry store schema. Bump on any field change;
 /// readers reject mismatches so a stale store cannot be reinterpreted.
 pub const TELEM_SCHEMA_VERSION: u64 = 1;
+
+const ENVELOPE: Envelope = Envelope {
+    kind: "telemetry",
+    version: TELEM_SCHEMA_VERSION,
+};
 
 /// One simulated run's telemetry, keyed by its record identity key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,40 +71,28 @@ fn histogram_to_json(h: &LogHistogram) -> Json {
 }
 
 fn histogram_from_json(json: &Json, what: &str) -> Result<LogHistogram, String> {
-    let min = json
-        .get("min")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{what}: latency missing 'min'"))?;
-    let max = json
-        .get("max")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{what}: latency missing 'max'"))?;
-    let buckets = json
-        .get("buckets")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{what}: latency missing 'buckets'"))?;
-    let mut pairs = Vec::with_capacity(buckets.len());
-    for b in buckets {
+    let what = format!("{what}: latency");
+    let m = Members::new(json, &what);
+    let mut pairs = Vec::new();
+    for b in m.get("buckets", Json::as_arr)? {
         let items = b
             .as_arr()
             .filter(|a| a.len() == 2)
-            .ok_or_else(|| format!("{what}: latency buckets are [index, count] pairs"))?;
+            .ok_or_else(|| format!("{what} buckets are [index, count] pairs"))?;
         let idx = items[0]
             .as_u64()
-            .ok_or_else(|| format!("{what}: latency bucket index is not an integer"))?;
+            .filter(|&i| i <= LogHistogram::bucket_index(u64::MAX) as u64)
+            .ok_or_else(|| format!("{what} bucket index is not a bucket"))?;
         let count = items[1]
             .as_u64()
-            .ok_or_else(|| format!("{what}: latency bucket count is not an integer"))?;
+            .ok_or_else(|| format!("{what} bucket count is not an integer"))?;
         pairs.push((idx as usize, count));
     }
-    let h = LogHistogram::from_parts(&pairs, min, max);
-    let samples = json
-        .get("samples")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{what}: latency missing 'samples'"))?;
+    let h = LogHistogram::from_parts(&pairs, m.u64("min")?, m.u64("max")?);
+    let samples = m.u64("samples")?;
     if h.samples() != samples {
         return Err(format!(
-            "{what}: latency buckets sum to {} samples, header says {samples}",
+            "{what} buckets sum to {} samples, header says {samples}",
             h.samples()
         ));
     }
@@ -130,35 +121,21 @@ fn comp_to_json(c: &CompSeries) -> Json {
 }
 
 fn comp_from_json(json: &Json, windows: usize) -> Result<CompSeries, String> {
-    let name = json
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "component missing 'name'".to_string())?
-        .to_string();
-    let stalls_json = json
-        .get("stalls")
-        .ok_or_else(|| format!("{name}: missing 'stalls'"))?;
+    let name = Members::new(json, "component").str("name")?.to_string();
+    let m = Members::new(json, &name);
+    let stalls_json = Members::new(m.value("stalls")?, &name);
     let mut stalls: [Vec<u64>; 4] = Default::default();
     for &cause in &StallCause::ALL {
-        let v = stalls_json
-            .get(cause.name())
-            .ok_or_else(|| format!("{name}: stalls missing cause '{}'", cause.name()))?;
-        stalls[cause.index()] = rle_decode(v, windows, &format!("{name}.stalls.{}", cause.name()))?;
+        let what = format!("{name}.stalls.{}", cause.name());
+        stalls[cause.index()] = rle_decode(stalls_json.value(cause.name())?, windows, &what)?;
     }
-    let field = |key: &str| {
-        json.get(key)
-            .ok_or_else(|| format!("{name}: missing '{key}'"))
-    };
+    let series = |key: &str| rle_decode(m.value(key)?, windows, &format!("{name}.{key}"));
     Ok(CompSeries {
-        busy: rle_decode(field("busy")?, windows, &format!("{name}.busy"))?,
+        busy: series("busy")?,
         stalls,
-        depth_sum: rle_decode(field("depth_sum")?, windows, &format!("{name}.depth_sum"))?,
-        depth_samples: rle_decode(
-            field("depth_samples")?,
-            windows,
-            &format!("{name}.depth_samples"),
-        )?,
-        latency: histogram_from_json(field("latency")?, &name)?,
+        depth_sum: series("depth_sum")?,
+        depth_samples: series("depth_samples")?,
+        latency: histogram_from_json(m.value("latency")?, &name)?,
         name,
     })
 }
@@ -213,9 +190,8 @@ impl TelemSet {
                 })
                 .collect(),
         );
-        Json::obj()
-            .with("schema_version", Json::Num(TELEM_SCHEMA_VERSION as f64))
-            .with("generator", Json::Str(self.generator.clone()))
+        ENVELOPE
+            .begin(&self.generator)
             .with("window", Json::Num(self.window as f64))
             .with("runs", runs)
             .render()
@@ -227,61 +203,28 @@ impl TelemSet {
     /// store: telemetry written by a different schema must be
     /// regenerated, not reinterpreted.
     pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "document missing 'schema_version'".to_string())?;
-        if version != TELEM_SCHEMA_VERSION {
-            return Err(format!(
-                "telemetry schema version mismatch: file has v{version}, this tool speaks \
-                 v{TELEM_SCHEMA_VERSION} — regenerate the store"
-            ));
-        }
-        let generator = doc
-            .get("generator")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "document missing 'generator'".to_string())?
-            .to_string();
+        let (doc, generator) = ENVELOPE.open(text)?;
         let window = doc
             .get("window")
             .and_then(Json::as_u64)
             .filter(|&w| w >= 1)
             .ok_or_else(|| "document missing positive 'window'".to_string())?;
-        let runs_json = doc
-            .get("runs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "document missing 'runs' array".to_string())?;
-        let mut runs = Vec::with_capacity(runs_json.len());
-        for run in runs_json {
-            let key = run
-                .get("key")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "run missing 'key'".to_string())?
-                .to_string();
-            let cycles = run
-                .get("cycles")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{key}: missing 'cycles'"))?;
+        let runs = rows(&doc, "runs", |run| {
+            let key = Members::new(run, "run").str("key")?.to_string();
+            let m = Members::new(run, &key);
+            let cycles = m.u64("cycles")?;
             let windows = if cycles == 0 {
                 0
             } else {
                 cycles.div_ceil(window) as usize
             };
-            let busy = rle_decode(
-                run.get("busy")
-                    .ok_or_else(|| format!("{key}: missing 'busy'"))?,
-                windows,
-                &format!("{key}.busy"),
-            )?;
-            let comps = run
-                .get("comps")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("{key}: missing 'comps' array"))?
+            let busy = rle_decode(m.value("busy")?, windows, &format!("{key}.busy"))?;
+            let comps = m
+                .get("comps", Json::as_arr)?
                 .iter()
                 .map(|c| comp_from_json(c, windows).map_err(|e| format!("{key}: {e}")))
                 .collect::<Result<Vec<_>, _>>()?;
-            runs.push(TelemRun {
+            Ok(TelemRun {
                 key,
                 series: TelemSeries {
                     cycles,
@@ -289,62 +232,24 @@ impl TelemSet {
                     busy,
                     comps,
                 },
-            });
-        }
+            })
+        })?;
         Ok(Self {
             generator,
             window,
             runs,
         })
     }
-
-    /// Read and parse a telemetry store file.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json_str(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Write the canonical document to `path`.
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.to_json_string())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))
-    }
 }
 
-/// File name of telemetry trajectory point `index`: `TELEM_0007.json`.
-pub fn telem_file_name(index: u64) -> String {
-    format!("TELEM_{index:04}.json")
-}
-
-/// Parse an index out of a `TELEM_<n>.json` file name.
-pub fn parse_telem_index(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("TELEM_")?.strip_suffix(".json")?;
-    if rest.contains('.') {
-        return None;
+impl StoreFile for TelemSet {
+    fn encode(&self) -> String {
+        self.to_json_string()
     }
-    rest.parse().ok()
-}
 
-/// The `TELEM_*.json` files in `dir`, sorted by index.
-pub fn list_telem_files(dir: &Path) -> Vec<(u64, PathBuf)> {
-    let mut found = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if let Some(index) = entry.file_name().to_str().and_then(parse_telem_index) {
-                found.push((index, entry.path()));
-            }
-        }
+    fn decode(text: &str) -> Result<Self, String> {
+        Self::from_json_str(text)
     }
-    found.sort_by_key(|&(index, _)| index);
-    found
-}
-
-/// First unused telemetry trajectory index in `dir` (1-based).
-pub fn next_telem_index(dir: &Path) -> u64 {
-    list_telem_files(dir)
-        .last()
-        .map_or(1, |&(index, _)| index + 1)
 }
 
 #[cfg(test)]
@@ -395,32 +300,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rle_round_trips() {
-        for v in [
-            vec![],
-            vec![7],
-            vec![0, 0, 0, 5, 5, 1],
-            vec![1, 2, 3, 4],
-            vec![9; 100],
-        ] {
-            let encoded = rle_encode(&v);
-            assert_eq!(rle_decode(&encoded, v.len(), "t").unwrap(), v);
-        }
-        // Long constant stretches compress to one pair.
-        let Json::Arr(pairs) = rle_encode(&[3; 64]) else {
-            panic!("rle_encode returns an array")
-        };
-        assert_eq!(pairs.len(), 1);
-    }
-
-    #[test]
-    fn rle_length_mismatch_is_an_error() {
-        let encoded = rle_encode(&[1, 1, 2]);
-        let err = rle_decode(&encoded, 5, "t").unwrap_err();
-        assert!(err.contains("expected 5"), "{err}");
-    }
-
-    #[test]
     fn set_round_trips_losslessly() {
         let set = sample_set();
         let text = set.to_json_string();
@@ -454,31 +333,33 @@ mod tests {
         assert_eq!(reducer.latency.samples(), 1);
         assert_eq!(reducer.latency.min(), 10);
         assert_eq!(reducer.latency.max(), 10);
+        // A damaged bucket index is an error, not an allocation of its size.
+        let damaged = Json::parse(r#"{"samples": 1, "min": 1, "max": 1, "buckets": [[1e15, 1]]}"#);
+        let err = histogram_from_json(&damaged.unwrap(), "t").unwrap_err();
+        assert!(err.contains("not a bucket"), "{err}");
     }
 
+    /// Every committed store parses and re-renders to its exact bytes.
     #[test]
-    fn telem_file_names() {
-        assert_eq!(telem_file_name(3), "TELEM_0003.json");
-        assert_eq!(parse_telem_index("TELEM_0003.json"), Some(3));
-        assert_eq!(parse_telem_index("TELEM_12.json"), Some(12));
-        assert_eq!(parse_telem_index("TELEM_0003.backup.json"), None);
-        assert_eq!(parse_telem_index("BENCH_0001.json"), None);
-    }
-
-    #[test]
-    fn trajectory_scan_and_next_index() {
-        let dir = std::env::temp_dir().join("fblas_telemetry_store_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(next_telem_index(&dir), 1);
-        let set = sample_set();
-        set.save(&dir.join(telem_file_name(1))).unwrap();
-        set.save(&dir.join(telem_file_name(2))).unwrap();
-        let files = list_telem_files(&dir);
-        assert_eq!(files.iter().map(|&(i, _)| i).collect::<Vec<_>>(), [1, 2]);
-        assert_eq!(next_telem_index(&dir), 3);
-        assert_eq!(TelemSet::load(&files[0].1).unwrap(), set);
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn committed_stores_round_trip_byte_identically() {
+        use fblas_metrics::{FaultSet, RecordSet, ScaleSet, ServeSet};
+        fn check<T: StoreFile>(file: &str) {
+            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../..")
+                .join(file);
+            let bytes = std::fs::read_to_string(&path).unwrap();
+            let set = T::load(&path).unwrap_or_else(|e| panic!("{e}"));
+            assert!(
+                set.encode() == bytes,
+                "{file} does not re-render byte-identically"
+            );
+        }
+        check::<RecordSet>("BENCH_0001.json");
+        check::<RecordSet>("baselines/seed.json");
+        check::<TelemSet>("TELEM_0001.json");
+        check::<ServeSet>("SERVE_0001.json");
+        check::<ScaleSet>("SCALE_0001.json");
+        check::<FaultSet>("FAULTS.json");
     }
 
     #[test]
@@ -489,5 +370,49 @@ mod tests {
             other.push("x", set.runs[0].series.clone());
         }));
         assert!(r.is_err(), "window mismatch must panic");
+    }
+}
+
+#[cfg(test)]
+mod properties {
+    use super::*;
+    use proptest::prelude::*;
+
+    const COMMITTED: &str = include_str!("../../../TELEM_0001.json");
+
+    /// Arbitrary text, mostly JSON punctuation and digits.
+    fn arb_text() -> impl Strategy<Value = String> {
+        const JSONISH: &[u8] = b"{}[]\",:-.e0123456789 \\nul";
+        prop::collection::vec(
+            prop_oneof![
+                (0..JSONISH.len()).prop_map(|i| char::from(JSONISH[i])),
+                any::<u32>().prop_map(|c| char::from_u32(c % 0x11_0000).unwrap_or('?')),
+            ],
+            0..32,
+        )
+        .prop_map(|chars| chars.into_iter().collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn parser_never_panics(text in arb_text()) {
+            let _ = TelemSet::from_json_str(&text);
+        }
+
+        /// Damage the committed store (cut a span, splice in arbitrary
+        /// text) so the decoder sees almost-valid runs.
+        #[test]
+        fn parser_never_panics_on_a_damaged_committed_store(
+            at in 0..COMMITTED.len(),
+            cut in 0..24usize,
+            junk in arb_text(),
+        ) {
+            let end = (at + cut).min(COMMITTED.len());
+            prop_assume!(COMMITTED.is_char_boundary(at) && COMMITTED.is_char_boundary(end));
+            let damaged = format!("{}{junk}{}", &COMMITTED[..at], &COMMITTED[end..]);
+            let _ = TelemSet::from_json_str(&damaged);
+        }
     }
 }
