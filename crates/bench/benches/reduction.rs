@@ -1,9 +1,10 @@
 //! Criterion bench: reduction-circuit simulation throughput.
 //!
-//! One group per workload shape (the Table 2 / ablation-1 comparison).
-//! The interesting *architectural* metrics (cycles, stalls, buffers) come
-//! from `--bin ablation`; this bench tracks how fast the circuit models
-//! simulate, which bounds the size of experiments the harness can run.
+//! One group per workload shape (ablation 1's matrix-vector and
+//! irregular-sparse comparisons). The *architectural* metrics (cycles,
+//! stalls, buffers) come from `--bin ablation` and `--bin alpha_sweep`;
+//! this bench tracks how fast the circuit models simulate, which bounds
+//! the size of experiments the harness can run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fblas_bench::synth_int;

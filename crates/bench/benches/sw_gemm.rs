@@ -1,12 +1,14 @@
 //! Criterion bench: the software gemm ladder (§6.3's CPU side).
 //!
-//! naive → cache-blocked → multithreaded, n = 256, measured on this host.
-//! Criterion's throughput reporting turns the times into element rates;
-//! `--bin cpu_compare` prints the same ladder in GFLOPS at n = 512.
+//! naive → transposed-B → cache-blocked → multithreaded, n = 256, timed
+//! on the host that runs it. One throughput element is one FLOP (2n³ per
+//! multiply), so the reported Melem/s read as MFLOP/s: the CPU side of
+//! the paper's comparison against 4.1–5.5 GFLOPS vendor `dgemm` and the
+//! FPGA design's 2.06 GFLOPS.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fblas_bench::synth;
-use fblas_sw::{gemm_blocked, gemm_naive, gemm_parallel};
+use fblas_sw::{gemm_blocked, gemm_naive, gemm_parallel, gemm_transposed};
 use std::hint::black_box;
 
 fn bench_gemm(c: &mut Criterion) {
@@ -20,6 +22,9 @@ fn bench_gemm(c: &mut Criterion) {
     g.throughput(Throughput::Elements(2 * (n as u64).pow(3)));
 
     g.bench_function("naive", |bch| bch.iter(|| black_box(gemm_naive(&a, &b, n))));
+    g.bench_function("transposed", |bch| {
+        bch.iter(|| black_box(gemm_transposed(&a, &b, n)));
+    });
     g.bench_function("blocked_64", |bch| {
         bch.iter(|| black_box(gemm_blocked(&a, &b, n, 64)));
     });

@@ -7,78 +7,33 @@
 //!    vs column-major (interleaved accumulators).
 //! 3. Matrix-multiply blocking: cycles and bandwidth as m varies.
 
-use fblas_bench::record_sink::{measure, RecordSink};
-use fblas_bench::trace::TraceOption;
 use fblas_bench::{print_table, synth_int};
 use fblas_core::mm::{BlockEngine, MmParams};
 use fblas_core::mvm::{ColMajorMvm, DenseMatrix, MvmParams, RowMajorMvm};
 use fblas_core::reduce::{
-    run_sets_in, KoggeTreeReducer, NiHwangReducer, Pow2Reducer, Reducer, ReductionRun,
+    run_sets, KoggeTreeReducer, NiHwangReducer, Pow2Reducer, Reducer, ReductionRun,
     SingleAdderReducer, StallingReducer, TwoAdderReducer,
 };
-use fblas_fpu::FP_ADDER;
-use fblas_metrics::RunRecord;
-use fblas_sim::Harness;
 
 const ALPHA: usize = 14;
 
-/// Kebab-case a reducer display name into a record-key-friendly slug.
-fn slug(name: &str) -> String {
-    let mut out = String::new();
-    for c in name.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c.to_ascii_lowercase());
-        } else if !out.ends_with('-') && !out.is_empty() {
-            out.push('-');
-        }
-    }
-    out.trim_end_matches('-').to_string()
+fn bench_reducer<R: Reducer>(mut r: R, sets: &[Vec<f64>]) -> (String, usize, ReductionRun) {
+    let run = run_sets(&mut r, sets);
+    (r.name().to_string(), r.adders(), run)
 }
 
-fn bench_reducer<R: Reducer>(
-    th: &mut Harness,
-    sink: &mut RecordSink,
-    mut r: R,
-    sets: &[Vec<f64>],
-) -> (String, usize, ReductionRun) {
-    let name = r.name().to_string();
-    let (run, stalls) = measure(th, |h| run_sets_in(h, &mut r, sets));
-    let total: u64 = sets.iter().map(|s| s.len() as u64).sum();
-    sink.push(RunRecord::from_sim(
-        &format!("reduce/{}", slug(&name)),
-        &[("alpha", ALPHA as i64), ("sets", sets.len() as i64)],
-        fblas_sim::SimReport {
-            cycles: run.total_cycles,
-            flops: run.adds_issued,
-            words_in: total,
-            words_out: sets.len() as u64,
-            busy_cycles: run.adds_issued.min(run.total_cycles),
-        },
-        stalls,
-        FP_ADDER.clock_mhz,
-        0,
-    ));
-    (name, r.adders(), run)
-}
-
-fn reducer_table(
-    th: &mut Harness,
-    sink: &mut RecordSink,
-    title: &str,
-    sets: &[Vec<f64>],
-    include_pow2: bool,
-) {
+fn reducer_table(title: &str, sets: &[Vec<f64>], include_pow2: bool) {
     let total: u64 = sets.iter().map(|s| s.len() as u64).sum();
     let mut runs = vec![
-        bench_reducer(th, sink, SingleAdderReducer::new(ALPHA), sets),
-        bench_reducer(th, sink, TwoAdderReducer::new(ALPHA), sets),
-        bench_reducer(th, sink, KoggeTreeReducer::new(ALPHA), sets),
-        bench_reducer(th, sink, NiHwangReducer::new(ALPHA), sets),
-        bench_reducer(th, sink, StallingReducer::new(ALPHA), sets),
+        bench_reducer(SingleAdderReducer::new(ALPHA), sets),
+        bench_reducer(TwoAdderReducer::new(ALPHA), sets),
+        bench_reducer(KoggeTreeReducer::new(ALPHA), sets),
+        bench_reducer(NiHwangReducer::new(ALPHA), sets),
+        bench_reducer(StallingReducer::new(ALPHA), sets),
     ];
     if include_pow2 {
         // The RAW'05 circuit only handles power-of-two set sizes.
-        runs.insert(1, bench_reducer(th, sink, Pow2Reducer::new(ALPHA), sets));
+        runs.insert(1, bench_reducer(Pow2Reducer::new(ALPHA), sets));
     }
     let rows: Vec<Vec<String>> = runs
         .iter()
@@ -110,15 +65,9 @@ fn reducer_table(
 }
 
 fn main() {
-    let trace = TraceOption::from_args();
-    let mut sink = RecordSink::from_args("ablation");
-    let mut th = trace.harness();
-
     // ---- 1a. Matrix-vector workload: 256 sets of 64 (n=256, k=4) ----
     let mvm_sets: Vec<Vec<f64>> = (0..256).map(|i| synth_int(i as u64, 64, 16)).collect();
     reducer_table(
-        &mut th,
-        &mut sink,
         "Ablation 1a: reduction circuits on the matrix-vector workload (256 sets × 64)",
         &mvm_sets,
         true,
@@ -132,8 +81,6 @@ fn main() {
         })
         .collect();
     reducer_table(
-        &mut th,
-        &mut sink,
         "Ablation 1b: reduction circuits on an irregular sparse workload (sizes 1..97)",
         &sparse_sets,
         false,
@@ -145,26 +92,10 @@ fn main() {
     let x = synth_int(4, n, 8);
     let row_design = RowMajorMvm::standalone(MvmParams::with_k(4), 170.0);
     let col_design = ColMajorMvm::standalone(MvmParams::with_k(4), 170.0);
-    let (row, row_stalls) = measure(&mut th, |h| row_design.run_in(h, &a, &x));
-    let (col, col_stalls) = measure(&mut th, |h| col_design.run_in(h, &a, &x));
+    let row = row_design.run(&a, &x);
+    let col = col_design.run(&a, &x);
     assert_eq!(row.y, a.ref_mvm(&x));
     assert_eq!(col.y, a.ref_mvm(&x));
-    sink.push(RunRecord::from_sim(
-        "mvm/row",
-        &[("k", 4), ("n", n as i64)],
-        row.report,
-        row_stalls,
-        row.clock.mhz(),
-        0,
-    ));
-    sink.push(RunRecord::from_sim(
-        "mvm/col",
-        &[("k", 4), ("n", n as i64)],
-        col.report,
-        col_stalls,
-        col.clock.mhz(),
-        0,
-    ));
     print_table(
         &format!("Ablation 2: matrix-vector architectures (n = {n}, k = 4)"),
         &["architecture", "cycles", "% of peak", "extra hardware"],
@@ -192,7 +123,7 @@ fn main() {
             let a = DenseMatrix::from_rows(m, m, synth_int(7, m * m, 4));
             let b = DenseMatrix::from_rows(m, m, synth_int(8, m * m, 4));
             let mut c = vec![0.0; m * m];
-            let stats = BlockEngine::new(p).multiply_accumulate_in(&mut th, &a, &b, &mut c);
+            let stats = BlockEngine::new(p).multiply_accumulate(&a, &b, &mut c);
             vec![
                 m.to_string(),
                 stats.cycles.to_string(),
@@ -262,7 +193,4 @@ fn main() {
          DRAM demand by l; the §5.2 design replaces the 1/m factor with 1/b = 1/2048,\n\
          which is why the paper builds the memory-hierarchy-aware version."
     );
-
-    trace.write(&th);
-    sink.write();
 }

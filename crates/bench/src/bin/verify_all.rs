@@ -1,57 +1,51 @@
-//! One-shot artifact check: re-derives every headline number of the paper
-//! and prints a PASS/FAIL line per claim. Exit status is non-zero if any
+//! One-shot artifact check: runs the paper matrix once and prints a
+//! PASS/FAIL line per reproduced claim. Exit status is non-zero if any
 //! claim fails its tolerance.
 //!
 //! ```sh
 //! cargo run --release -p fblas-bench --bin verify_all
 //! ```
 //!
-//! Every tolerance comes from the shared table in `fblas-metrics`
-//! ([`ParityGate`]) — the same table `observatory diff` and the DRC
-//! parity rule gate on — so a bound can never drift between tools.
+//! Every paper number is measured by exactly one job of
+//! [`paper_matrix`], which carries it as a paper-parity entry on its
+//! record; this binary is a view over those records. Each row of the
+//! shared tolerance table ([`PAPER_TOLERANCES`]) is gated through
+//! [`ParityGate`] — the same table `observatory diff` and the DRC parity
+//! rule read — and a row that no record carries is a FAIL. Five
+//! functional claims the records do not hold (the §4.3 reduction
+//! circuit's adder count, stalls, buffer and latency bounds, and the
+//! §6.4 chassis platform fit) are checked directly.
 //!
 //! Pass `--trace out.json` to also dump a Chrome `trace_event` timeline
-//! of the simulated runs (dot, row-major `MvM`, linear-array MM blocks)
-//! with per-component stall attribution, and `--json out.json` to emit
-//! the measurements as canonical run records.
+//! of the reference kernels (dot, row-major `MvM`, linear-array MM block)
+//! with per-component stall attribution.
 
-use fblas_bench::record_sink::{measure, RecordSink};
+use std::process::ExitCode;
+
+use fblas_bench::paper_matrix;
 use fblas_bench::synth_int;
-use fblas_bench::trace::TraceOption;
-use fblas_core::dot::{DotParams, DotProductDesign};
-use fblas_core::mm::{HierarchicalMm, HierarchicalParams, LinearArrayMm, MmParams};
-use fblas_core::mvm::{DenseMatrix, MvmParams, RowMajorMvm};
-use fblas_core::reduce::{run_sets_in, Reducer, SingleAdderReducer};
-use fblas_mem::DmaModel;
-use fblas_metrics::{ParityGate, RunRecord, StallBreakdown};
-use fblas_system::projection::scaled_sustained_gflops;
-use fblas_system::{
-    device_peak_flops, io_bound_peak_mvm, AreaModel, ChassisProjection, ClockModel, Xd1Chassis,
-    Xd1Node, XC2VP100, XC2VP50,
-};
+use fblas_bench::trace::{trace_reference_kernels, TraceOption};
+use fblas_core::mm::{HierarchicalMm, HierarchicalParams};
+use fblas_core::reduce::{run_sets, Reducer, SingleAdderReducer};
+use fblas_metrics::{ParityGate, PAPER_TOLERANCES};
+use fblas_system::{Xd1Chassis, Xd1Node};
 
-fn main() {
-    let trace = TraceOption::from_args();
-    let mut sink = RecordSink::from_args("verify_all");
-    let mut th = trace.harness();
+/// Gate one functional claim and print its line.
+fn check_true(gate: &mut ParityGate, name: &str, cond: bool) {
+    gate.check_true(name, cond);
+    println!("{}", gate.last_line());
+}
+
+fn main() -> ExitCode {
+    let trace = match TraceOption::parse(std::env::args().skip(1).collect()) {
+        Ok(trace) => trace,
+        Err(e) => {
+            eprintln!("error: {e}");
+            eprintln!("usage: verify_all [--trace <out.json>]");
+            return ExitCode::from(2);
+        }
+    };
     let mut gate = ParityGate::new();
-    let node = Xd1Node::default();
-    let area = AreaModel::default();
-    let clocks = ClockModel::default();
-
-    // Streams each check line as it is produced.
-    macro_rules! check {
-        ($id:expr, $measured:expr) => {{
-            gate.check($id, $measured);
-            println!("{}", gate.last_line());
-        }};
-    }
-    macro_rules! check_true {
-        ($name:expr, $cond:expr) => {{
-            gate.check_true($name, $cond);
-            println!("{}", gate.last_line());
-        }};
-    }
 
     println!("== Reduction circuit (§4.3) ==");
     let alpha = 14usize;
@@ -60,201 +54,57 @@ fn main() {
         .collect();
     let total: u64 = sets.iter().map(|s| s.len() as u64).sum();
     let mut red = SingleAdderReducer::new(alpha);
-    let (run, red_stalls) = measure(&mut th, |h| run_sets_in(h, &mut red, &sets));
-    check_true!("one floating-point adder", red.adders() == 1);
-    check_true!("zero input stalls", run.stall_cycles == 0);
-    check_true!(
+    let run = run_sets(&mut red, &sets);
+    check_true(&mut gate, "one floating-point adder", red.adders() == 1);
+    check_true(&mut gate, "zero input stalls", run.stall_cycles == 0);
+    check_true(
+        &mut gate,
         "buffer within 2α²",
-        run.buffer_high_water <= 2 * alpha * alpha
+        run.buffer_high_water <= 2 * alpha * alpha,
     );
-    check_true!(
+    check_true(
+        &mut gate,
         "latency under Σs + 2α²",
-        run.total_cycles < total + 2 * (alpha as u64).pow(2)
-    );
-    sink.push(RunRecord::from_sim(
-        "reduce/single-adder",
-        &[("alpha", alpha as i64), ("sets", sets.len() as i64)],
-        fblas_sim::SimReport {
-            cycles: run.total_cycles,
-            flops: run.adds_issued,
-            words_in: total,
-            words_out: sets.len() as u64,
-            busy_cycles: run.adds_issued,
-        },
-        red_stalls,
-        fblas_fpu::FP_ADDER.clock_mhz,
-        u64::from(area.reduction_slices),
-    ));
-
-    println!("\n== Table 3: Level 1 & 2 (n = 2048) ==");
-    let n = 2048usize;
-    let dot = DotProductDesign::new(DotParams::table3(), &node);
-    let du = synth_int(1, n, 8);
-    let dv = synth_int(2, n, 8);
-    let (dout, dot_stalls) = measure(&mut th, |h| dot.run_in(h, &du, &dv));
-    let dot_mflops = dout.report.sustained_flops(&dout.clock) / 1e6;
-    check!("table3.dot.mflops", dot_mflops);
-    let mvm = RowMajorMvm::new(MvmParams::table3(), &node);
-    let a = DenseMatrix::from_rows(n, n, synth_int(3, n * n, 8));
-    let mx = synth_int(4, n, 8);
-    let (mout, mvm_stalls) = measure(&mut th, |h| mvm.run_in(h, &a, &mx));
-    let mvm_mflops = mout.report.sustained_flops(&mout.clock) / 1e6;
-    check!("table3.mvm.mflops", mvm_mflops);
-    check!("table3.dot.slices", f64::from(area.dot_design(2)));
-    check!("table3.mvm.slices", f64::from(area.mvm_design(4)));
-    sink.push(
-        RunRecord::from_sim(
-            "dot",
-            &[("k", 2), ("n", n as i64)],
-            dout.report,
-            dot_stalls,
-            dout.clock.mhz(),
-            u64::from(area.dot_design(2)),
-        )
-        .with_paper("table3.dot.mflops", dot_mflops)
-        .with_paper("table3.dot.slices", f64::from(area.dot_design(2))),
-    );
-    sink.push(
-        RunRecord::from_sim(
-            "mvm/row",
-            &[("k", 4), ("n", n as i64)],
-            mout.report,
-            mvm_stalls,
-            mout.clock.mhz(),
-            u64::from(area.mvm_design(4)),
-        )
-        .with_paper("table3.mvm.mflops", mvm_mflops)
-        .with_paper("table3.mvm.slices", f64::from(area.mvm_design(4))),
+        run.total_cycles < total + 2 * (alpha as u64).pow(2),
     );
 
-    println!("\n== Figure 9 ==");
-    check!("fig9.clock.k1", clocks.mm_mhz(1));
-    check!("fig9.clock.k10", clocks.mm_mhz(10));
-    check!("fig9.max-pes.xc2vp50", f64::from(area.max_pes(&XC2VP50)));
-    sink.push(
-        RunRecord::modeled(
-            "mm/model",
-            &[("k", 1)],
-            clocks.mm_mhz(1),
-            u64::from(area.mm_design(1)),
-        )
-        .with_paper("fig9.clock.k1", clocks.mm_mhz(1)),
-    );
-    sink.push(
-        RunRecord::modeled(
-            "mm/model",
-            &[("k", 10)],
-            clocks.mm_mhz(10),
-            u64::from(area.mm_design(10)),
-        )
-        .with_paper("fig9.clock.k10", clocks.mm_mhz(10))
-        .with_paper("fig9.max-pes.xc2vp50", f64::from(area.max_pes(&XC2VP50))),
-    );
-
-    println!("\n== Table 4 (Level 2: n = 1024; Level 3: n = 512) ==");
-    let l2_clock = clocks.xd1_l2();
-    let mvm164 = RowMajorMvm::standalone(MvmParams::table3(), l2_clock.mhz());
-    let n2 = 1024usize;
-    let a2 = DenseMatrix::from_rows(n2, n2, synth_int(5, n2 * n2, 8));
-    let x2 = synth_int(6, n2, 8);
-    let (o2, l2_stalls) = measure(&mut th, |h| mvm164.run_in(h, &a2, &x2));
-    let staging = DmaModel::xd1_dram().transfer_seconds_words((n2 * n2 + n2) as u64);
-    let total_s = o2.report.latency_seconds(&l2_clock) + staging;
-    let l2_mflops = o2.report.flops as f64 / total_s / 1e6;
-    let l2_peak_pct = o2.report.flops as f64 / total_s / io_bound_peak_mvm(1.3e9) * 100.0;
-    check!("table4.l2.latency-ms", total_s * 1e3);
-    check!("table4.l2.mflops", l2_mflops);
-    check!("table4.l2.peak-pct", l2_peak_pct);
-    sink.push(
-        RunRecord::from_sim(
-            "mvm/xd1-l2",
-            &[("k", 4), ("n", n2 as i64)],
-            o2.report,
-            l2_stalls,
-            l2_clock.mhz(),
-            u64::from(area.mvm_design_xd1(4)),
-        )
-        .with_paper("table4.l2.latency-ms", total_s * 1e3)
-        .with_paper("table4.l2.mflops", l2_mflops)
-        .with_paper("table4.l2.peak-pct", l2_peak_pct),
-    );
-
-    let mm = HierarchicalMm::new(HierarchicalParams::xd1_single_node());
-    let n3 = 512usize;
-    let ma = DenseMatrix::from_rows(n3, n3, synth_int(7, n3 * n3, 4));
-    let mb = DenseMatrix::from_rows(n3, n3, synth_int(8, n3 * n3, 4));
-    let o3 = mm.run(&ma, &mb);
-    check!("table4.l3.gflops", o3.sustained_gflops());
-    check!(
-        "table4.l3.latency-ms",
-        o3.report.latency_seconds(&o3.clock) * 1e3
-    );
-    check!(
-        "sec6.device-peak.gflops",
-        device_peak_flops(&XC2VP50, &area, 170.0) / 1e9
-    );
-    sink.push(
-        RunRecord::from_sim(
-            "mm/hierarchical",
-            &[("b", 512), ("k", 8), ("m", 8), ("n", n3 as i64)],
-            o3.report,
-            StallBreakdown::default(),
-            o3.clock.mhz(),
-            u64::from(area.mm_design_xd1(8)),
-        )
-        .with_paper("table4.l3.gflops", o3.sustained_gflops())
-        .with_paper(
-            "table4.l3.latency-ms",
-            o3.report.latency_seconds(&o3.clock) * 1e3,
-        ),
-    );
-
-    println!("\n== §6.4 projections ==");
-    check!("sec6.chassis.gflops", scaled_sustained_gflops(2.06, 6));
-    check!("sec6.chassis12.gflops", scaled_sustained_gflops(2.06, 72));
-    let best50 = ChassisProjection::xd1(XC2VP50).point(1600, 200.0);
-    let best100 = ChassisProjection::xd1(XC2VP100).point(1600, 200.0);
-    check!("fig11.best.gflops", best50.chassis_gflops);
-    check!("fig12.best.gflops", best100.chassis_gflops);
-    let fits = HierarchicalMm::new(HierarchicalParams::xd1_chassis())
-        .check_platform(&node, &Xd1Chassis::default())
-        .is_ok();
-    check_true!("chassis bandwidth requirements met by XD1", fits);
-    sink.push(
-        RunRecord::modeled("model/device-peak", &[], 170.0, 0).with_paper(
-            "sec6.device-peak.gflops",
-            device_peak_flops(&XC2VP50, &area, 170.0) / 1e9,
-        ),
-    );
-    sink.push(
-        RunRecord::modeled("model/chassis", &[("nodes", 6)], 130.0, 0)
-            .with_paper("sec6.chassis.gflops", scaled_sustained_gflops(2.06, 6)),
-    );
-    sink.push(
-        RunRecord::modeled("model/chassis", &[("nodes", 72)], 130.0, 0)
-            .with_paper("sec6.chassis12.gflops", scaled_sustained_gflops(2.06, 72)),
-    );
-    sink.push(
-        RunRecord::modeled("model/projection", &[("xc2vp", 50)], 200.0, 1600)
-            .with_paper("fig11.best.gflops", best50.chassis_gflops),
-    );
-    sink.push(
-        RunRecord::modeled("model/projection", &[("xc2vp", 100)], 200.0, 1600)
-            .with_paper("fig12.best.gflops", best100.chassis_gflops),
-    );
-
-    if trace.enabled() {
-        // The hierarchical run above aggregates its blocks analytically,
-        // so trace one linear-array block multiply (§5.1) explicitly to
-        // put the PE array / accumulator components on the timeline.
-        let m = 16usize;
-        let nt = 32usize;
-        let ta = DenseMatrix::from_rows(nt, nt, synth_int(9, nt * nt, 4));
-        let tb = DenseMatrix::from_rows(nt, nt, synth_int(10, nt * nt, 4));
-        LinearArrayMm::new(MmParams::test(4, m)).run_in(&mut th, &ta, &tb);
+    println!("\n== Paper tolerances (one paper-matrix run) ==");
+    let (set, _) = paper_matrix::run_matrix(false);
+    for t in PAPER_TOLERANCES {
+        let carriers = set.paper_carriers(t.id);
+        match carriers[..] {
+            [(record, parity)] => {
+                gate.check(t.id, parity.measured);
+                println!("{}  [{}]", gate.last_line(), record.key());
+            }
+            [] => check_true(
+                &mut gate,
+                &format!(
+                    "{}: no paper-matrix record carries `{}`",
+                    t.description, t.id
+                ),
+                false,
+            ),
+            _ => check_true(
+                &mut gate,
+                &format!(
+                    "{}: {} records carry `{}`",
+                    t.description,
+                    carriers.len(),
+                    t.id
+                ),
+                false,
+            ),
+        }
     }
-    trace.write(&th);
-    sink.write();
+
+    println!("\n== §6.4 chassis platform ==");
+    let fits = HierarchicalMm::new(HierarchicalParams::xd1_chassis())
+        .check_platform(&Xd1Node::default(), &Xd1Chassis::default())
+        .is_ok();
+    check_true(&mut gate, "chassis bandwidth requirements met by XD1", fits);
+
+    trace_reference_kernels(&trace);
 
     println!(
         "\n{} of {} checks failed.{}",
@@ -266,5 +116,5 @@ fn main() {
             ""
         }
     );
-    std::process::exit(gate.exit_code());
+    ExitCode::from(u8::from(gate.exit_code() != 0))
 }

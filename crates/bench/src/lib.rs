@@ -1,28 +1,21 @@
-//! Shared infrastructure for the table/figure regeneration binaries.
-//!
-//! Every table and figure of the SC'05 paper has a binary in `src/bin/`
-//! that re-derives it from the architecture simulations and cost models:
+//! The paper-reproduction harness: the campaign matrices behind every
+//! committed record, and the binaries that run them.
 //!
 //! | target | reproduces |
 //! |---|---|
-//! | `table1` | memory characteristics of SRC and Cray platforms |
-//! | `table2` | floating-point unit and reduction-circuit cost sheet |
-//! | `table3` | Level-1/2 design characteristics and sustained MFLOPS |
-//! | `fig9`   | matrix-multiply area & clock vs number of PEs |
-//! | `table4` | Level-2/3 BLAS on one XD1 FPGA |
-//! | `fig11`  | projected chassis GFLOPS sweep (XC2VP50) |
-//! | `fig12`  | projected chassis GFLOPS sweep (XC2VP100) |
-//! | `chassis`| §6.4 single-chassis and 12-chassis predictions |
-//! | `cpu_compare` | §6.3 CPU dgemm comparison (measured on this host) |
-//! | `ablation` | reduction-circuit and design-choice ablations |
-//! | `alpha_sweep` | buffer/latency bounds vs adder depth α |
-//! | `verify_all` | PASS/FAIL re-derivation of every headline claim |
+//! | `observatory` | every campaign: the paper matrix (`BENCH`/`TELEM`), faults, serve, scale |
+//! | `verify_all` | PASS/FAIL on every paper claim, gated from one paper-matrix run |
+//! | `ablation` | reduction-circuit, `MvM`-architecture and MM-blocking ablations |
+//! | `alpha_sweep` | reduction-circuit buffer/latency bounds vs adder depth α |
 //!
 //! Run them with `cargo run --release -p fblas-bench --bin <name>`.
-//! Every binary accepts `--trace <out.json>` to dump a Chrome
-//! `trace_event` timeline of its simulated kernels (see [`trace`]) and
-//! `--json <out.json>` to emit its measurements as canonical
-//! [`fblas_metrics`] run records (see [`record_sink`]).
+//! Every number the paper reports (Tables 3–4, Figures 9/11/12 and the
+//! §6.3/§6.4 projections) is measured once, by one [`paper_matrix`] job,
+//! and carried as a paper-parity entry on that job's record;
+//! `verify_all` and `observatory diff` gate those entries, and
+//! `observatory report` renders them into `EXPERIMENTS.md`.
+//! `verify_all --trace <out.json>` also dumps a Chrome `trace_event`
+//! timeline of the reference kernels (see [`trace`]).
 //!
 //! The `observatory` binary ties the records together: `observatory run`
 //! executes the full paper matrix ([`paper_matrix`]) and persists a
@@ -81,12 +74,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("+{line}+");
 }
 
-/// Format "measured (paper: X, Δ%)" for a paper-reported value.
-pub fn vs_paper(measured: f64, paper: f64, unit: &str) -> String {
-    let delta = (measured - paper) / paper * 100.0;
-    format!("{measured:.3} {unit} (paper {paper:.3}, {delta:+.1}%)")
-}
-
 /// Deterministic pseudo-random matrix data in [-1, 1) without pulling a
 /// generator into the hot path (xorshift on the index).
 pub fn synth(seed: u64, len: usize) -> Vec<f64> {
@@ -131,11 +118,5 @@ mod tests {
     fn synth_int_in_range() {
         let v = synth_int(7, 1000, 8);
         assert!(v.iter().all(|x| (0.0..8.0).contains(x) && x.fract() == 0.0));
-    }
-
-    #[test]
-    fn vs_paper_formats_delta() {
-        let s = vs_paper(110.0, 100.0, "MFLOPS");
-        assert!(s.contains("+10.0%"), "{s}");
     }
 }

@@ -1,4 +1,4 @@
-//! Workload generators shared by the table/figure binaries, benches and
+//! Workload generators shared by the campaign matrices, benches and
 //! tests: the matrix families the paper's motivating applications
 //! (iterative solvers, eigenproblems, molecular dynamics reductions)
 //! actually produce.

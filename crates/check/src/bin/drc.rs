@@ -1,7 +1,8 @@
 //! `drc` — run every static analysis the workspace ships:
 //!
 //! * the design-rule checker over every shipped configuration;
-//! * the paper-parity coverage rule over the shared tolerance table;
+//! * the paper-parity coverage rule (the shared tolerance table vs. the
+//!   paper entries of the committed `BENCH_0001.json`);
 //! * the bench-thread-containment rule over the bench sources;
 //! * the fault-hook-purity rule over the whole workspace;
 //! * the workspace determinism lint over the result-affecting crates;
@@ -84,9 +85,12 @@ fn main() {
     };
 
     let mut reports: Vec<Report> = points.iter().map(check).collect();
-    reports.push(coverage_report());
     let root = repo_root();
-    let scans: [(&str, Result<Report, String>); 5] = [
+    let scans: [(&str, Result<Report, String>); 6] = [
+        (
+            "BENCH paper-parity entries",
+            coverage_report(&root.join("BENCH_0001.json")),
+        ),
         (
             "bench sources",
             bench_thread_report(&root).map_err(|e| e.to_string()),

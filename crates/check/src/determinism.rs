@@ -51,10 +51,6 @@ pub const ALLOWED_SITES: &[(&str, &str)] = &[
     ("crates/bench/src/pool.rs", "host-parallelism"),
     // Wall-clock sidecar printed to stderr; never enters a RunRecord.
     ("crates/bench/src/paper_matrix.rs", "wall-clock"),
-    // Host-baseline tool: its output is explicitly host-dependent and
-    // is never committed.
-    ("crates/bench/src/bin/cpu_compare.rs", "wall-clock"),
-    ("crates/bench/src/bin/cpu_compare.rs", "host-parallelism"),
 ];
 
 /// Direct ambient-read patterns: whitespace-squeezed substring match on

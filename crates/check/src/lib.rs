@@ -12,8 +12,9 @@
 //!   through the bit-accurate [`fblas_fpu::softfloat`] routines.
 //! * [`parity`] — a **paper-parity coverage rule** proving that every
 //!   row of the shared [`fblas_metrics::PAPER_TOLERANCES`] table is
-//!   claimed by a bench generator and that no generator claims a stale
-//!   id, so a paper figure can never silently go unchecked.
+//!   carried by exactly one record of the committed `BENCH_0001.json`
+//!   and that no record carries a stale id, so a paper figure can never
+//!   silently go unchecked.
 //! * [`threads`] — a **bench-thread-containment rule**: the observatory's
 //!   byte-determinism rests on all bench parallelism flowing through the
 //!   shared worker pool's ordered reducer, so any thread-creation call in
@@ -88,7 +89,7 @@ pub use graph::{
 };
 pub use hooks::{fault_hook_report, scan_workspace_tree, HookContext, HookSite};
 pub use lint::{scan_source, scan_tree, LintHit};
-pub use parity::{check_claims, coverage_report, CLAIMS};
+pub use parity::{check_records, coverage_report};
 pub use serve::check_serve_set;
 pub use telemetry::{check_sites, metric_registry_report, scan_metric_sites, MetricSite};
 pub use threads::{bench_thread_report, scan_bench_tree, ThreadSite};

@@ -360,11 +360,24 @@ mod tests {
 
     #[test]
     fn multi_fpga_matches_reference() {
-        let p = HierarchicalParams::test(4, 16, 2, 32);
-        let mm = HierarchicalMm::new(p);
-        let (a, b) = int_pair(64);
-        let out = mm.run(&a, &b);
-        assert_eq!(out.c.as_slice(), ref_matmul(&a, &b).as_slice());
+        // The second point is the §6.4.1 chassis schedule (l = 6 FPGAs,
+        // k = m = 8) at a simulation-friendly b = 96, n = 192.
+        let chassis = HierarchicalParams {
+            mm: MmParams::table4(),
+            l: 6,
+            b: 96,
+        };
+        for (p, n) in [(HierarchicalParams::test(4, 16, 2, 32), 64), (chassis, 192)] {
+            let mm = HierarchicalMm::new(p);
+            let (a, b) = int_pair(n);
+            let out = mm.run(&a, &b);
+            assert_eq!(
+                out.c.as_slice(),
+                ref_matmul(&a, &b).as_slice(),
+                "l = {}",
+                p.l
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use fblas_sim::{SimReport, StallCause};
 
 use crate::json::{Json, Members};
-use crate::store::{Envelope, Row};
+use crate::store::{Envelope, RecordSet, Row};
 use crate::tolerance;
 
 /// Version of the record schema. Bump on any field change; readers reject
@@ -297,6 +297,19 @@ impl RunRecord {
         } else {
             self.busy_cycles as f64 / self.cycles as f64
         }
+    }
+}
+
+impl RecordSet {
+    /// Every record carrying a paper-parity entry for `figure_id`, with
+    /// that entry, in record order. The paper matrix measures each paper
+    /// figure once, so a complete set yields exactly one per table row.
+    pub fn paper_carriers(&self, figure_id: &str) -> Vec<(&RunRecord, &PaperParity)> {
+        self.records
+            .iter()
+            .flat_map(|r| r.paper.iter().map(move |p| (r, p)))
+            .filter(|(_, p)| p.figure_id == figure_id)
+            .collect()
     }
 }
 

@@ -130,7 +130,7 @@ pub trait Row: Sized {
 /// `{schema_version, generator, records}` document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Store<R> {
-    /// Tool that produced the set, e.g. `"observatory"`, `"table3"`.
+    /// Tool that produced the set, e.g. `"observatory"`, `"observatory-quick"`.
     pub generator: String,
     /// The rows, in run order.
     pub records: Vec<R>,

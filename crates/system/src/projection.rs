@@ -300,10 +300,13 @@ mod tests {
 
     #[test]
     fn projected_bandwidths_met_by_xd1() {
-        // §6.4.1: with the smallest/fastest PE the requirements stay within
-        // XD1's provisioning (12.8 GB/s SRAM, 3.2 GB/s DRAM).
-        let p = ChassisProjection::xd1(XC2VP50).point(1600, 200.0);
-        assert!(p.required_sram_bytes_per_s < 12.8e9);
-        assert!(p.required_dram_bytes_per_s < 3.2e9);
+        // §6.4.1 (Figures 11 and 12): with the smallest/fastest PE the
+        // requirements stay within XD1's provisioning (12.8 GB/s SRAM,
+        // 3.2 GB/s DRAM) on both devices.
+        for device in [XC2VP50, XC2VP100] {
+            let p = ChassisProjection::xd1(device).point(1600, 200.0);
+            assert!(p.required_sram_bytes_per_s < 12.8e9, "{}", device.name);
+            assert!(p.required_dram_bytes_per_s < 3.2e9, "{}", device.name);
+        }
     }
 }

@@ -5,8 +5,8 @@ use fpga_blas::blas::dot::{DotParams, DotProductDesign};
 use fpga_blas::blas::mm::{HierarchicalMm, HierarchicalParams, LinearArrayMm, MmParams};
 use fpga_blas::blas::mvm::{DenseMatrix, MvmParams, RowMajorMvm};
 use fpga_blas::blas::reduce::{run_sets, Reducer, SingleAdderReducer};
-use fpga_blas::system::projection::scaled_sustained_gflops;
-use fpga_blas::system::{AreaModel, ClockModel, Xd1Chassis, Xd1Node, XC2VP50};
+use fpga_blas::system::projection::{hierarchical_dram_bytes_per_s, scaled_sustained_gflops};
+use fpga_blas::system::{AreaModel, ClockModel, Xd1Chassis, Xd1Node, Xd1System, XC2VP50};
 
 fn int_vec(seed: usize, n: usize) -> Vec<f64> {
     (0..n)
@@ -109,8 +109,15 @@ fn multi_fpga_predictions_scale_linearly() {
 #[test]
 fn chassis_configuration_fits_xd1_resources() {
     let mm = HierarchicalMm::new(HierarchicalParams::xd1_chassis());
-    mm.check_platform(&Xd1Node::default(), &Xd1Chassis::default())
+    let node = Xd1Node::default();
+    mm.check_platform(&node, &Xd1Chassis::default())
         .expect("§6.4.1: all requirements met by XD1");
+    // §6.4.2: twelve chassis (l = 72, b = 2048) stay within both the
+    // per-FPGA DRAM and the inter-chassis bandwidth.
+    let system = Xd1System::default();
+    let dram12 = hierarchical_dram_bytes_per_s(8, system.total_fpgas(), 2048, 130.0);
+    assert!(dram12 < node.dram.bandwidth_bytes_per_s, "{dram12}");
+    assert!(dram12 < system.inter_chassis_bytes_per_s, "{dram12}");
 }
 
 #[test]
