@@ -27,7 +27,7 @@ use fblas_core::dot::{DotParams, DotProductDesign};
 use fblas_core::mvm::{ColMajorMvm, DenseMatrix, MvmParams, RowMajorMvm};
 use fblas_sim::{ExecBackend, Harness};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const DOT_N: usize = 8192;
 const MVM_N: usize = 192;
@@ -61,8 +61,12 @@ fn run_once(w: &Workload, backend: ExecBackend) {
     black_box(w.col.run_in(&mut h, &w.a, &w.x).y);
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "host-time bench: timings are never recorded"
+)]
 fn time_once(mut f: impl FnMut()) -> Duration {
-    let t = Instant::now();
+    let t = std::time::Instant::now();
     f();
     t.elapsed()
 }

@@ -27,7 +27,7 @@ use fblas_core::mm::{BlockEngine, MmParams};
 use fblas_core::mvm::DenseMatrix;
 use fblas_sim::{Harness, DEFAULT_TELEM_WINDOW};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const K: usize = 8;
 const M: usize = 32;
@@ -59,8 +59,12 @@ fn run_once(engine: &BlockEngine, a: &DenseMatrix, b: &DenseMatrix, mode: Mode) 
     black_box(c);
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "host-time bench: timings are never recorded"
+)]
 fn time_once(mut f: impl FnMut()) -> Duration {
-    let t = Instant::now();
+    let t = std::time::Instant::now();
     f();
     t.elapsed()
 }

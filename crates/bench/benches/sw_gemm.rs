@@ -15,7 +15,7 @@ fn bench_gemm(c: &mut Criterion) {
     let n = 256usize;
     let a = synth(1, n * n);
     let b = synth(2, n * n);
-    let threads = std::thread::available_parallelism().map_or(4, std::num::NonZero::get);
+    let threads = fblas_bench::pool::default_jobs();
 
     let mut g = c.benchmark_group("sw_gemm_n256");
     g.sample_size(10);

@@ -22,8 +22,6 @@
 //! records carry no paper-parity entries (the paper's numbers are for
 //! the full sizes).
 
-use std::time::Instant;
-
 use fblas_core::dot::{DotParams, DotProductDesign};
 use fblas_core::level1::{AsumDesign, AxpyDesign, Level1Params, ScalDesign};
 use fblas_core::mm::{HierarchicalMm, HierarchicalParams, LinearArrayMm, MmParams};
@@ -95,6 +93,10 @@ impl Entry {
 /// recorded windows are run-relative, so a job's series is independent
 /// of whatever ran on the same worker before it — the property that
 /// keeps `TELEM_<n>.json` byte-identical at any `--jobs` count.
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall-clock sidecar only: seconds never enter a committed record"
+)]
 fn timed<T>(
     h: &mut Harness,
     telem_window: Option<u64>,
@@ -103,7 +105,7 @@ fn timed<T>(
     if let Some(w) = telem_window {
         h.enable_telemetry(w);
     }
-    let t0 = Instant::now();
+    let t0 = std::time::Instant::now();
     let ff0 = h.ff_cycles();
     let (out, stalls) = measure(h, run);
     let secs = t0.elapsed().as_secs_f64();
@@ -496,13 +498,17 @@ pub fn run_matrix_telemetry(
     run_matrix_inner(quick, workers, backend, Some(window))
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall-clock sidecar only: seconds never enter a committed record"
+)]
 fn run_matrix_inner(
     quick: bool,
     workers: usize,
     backend: ExecBackend,
     telem_window: Option<u64>,
 ) -> (RecordSet, WallClock, TelemSet) {
-    let t0 = Instant::now();
+    let t0 = std::time::Instant::now();
     let entries = pool::run_ordered_with_backend(jobs(quick, telem_window), workers, backend);
     let elapsed = t0.elapsed().as_secs_f64();
 

@@ -24,7 +24,8 @@
 //! DESIGN.md §10.
 //!
 //! This module is the only place in `fblas-bench` allowed to spawn
-//! threads — `fblas-check drc` enforces that (`bench-thread-containment`).
+//! threads — `clippy.toml` disallows `std::thread::{spawn,scope}` and
+//! `available_parallelism` everywhere else.
 
 use std::collections::VecDeque;
 use std::sync::{mpsc, Mutex};
@@ -58,6 +59,10 @@ impl<T> Job<T> {
 }
 
 /// Default worker count: the host's available parallelism (1 if unknown).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "worker count only: the ordered reducer makes output identical at any count"
+)]
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
 }
@@ -79,6 +84,10 @@ pub fn run_ordered<T: Send>(jobs: Vec<Job<T>>, workers: usize) -> Vec<T> {
 /// execution backend, so the whole matrix runs cycle-stepped,
 /// fast-forwarded or native. Scheduling and ordered reduction are
 /// unchanged — backend choice affects wall clock only, never bytes.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned thread site: results are reassembled in submission order"
+)]
 pub fn run_ordered_with_backend<T: Send>(
     jobs: Vec<Job<T>>,
     workers: usize,

@@ -3,9 +3,6 @@
 //! * the design-rule checker over every shipped configuration;
 //! * the paper-parity coverage rule (the shared tolerance table vs. the
 //!   paper entries of the committed `BENCH_0001.json`);
-//! * the bench-thread-containment rule over the bench sources;
-//! * the fault-hook-purity rule over the whole workspace;
-//! * the workspace determinism lint over the result-affecting crates;
 //! * the fast-path parity coverage rule (every `fast_forward` override
 //!   pinned bit-identical by the backend parity suite);
 //! * the telemetry-metric-registry rule (every emitted component id
@@ -36,15 +33,13 @@
 //! * `2` — usage error or an analysis could not run (unreadable tree,
 //!   missing BENCH file).
 
-use fblas_check::determinism::determinism_report;
 use fblas_check::drc::{check, infeasible_k10_with_rt_core, shipped_design_points};
 use fblas_check::fabric::fabric_link_budget_report;
 use fblas_check::fastpath::fast_path_report;
 use fblas_check::graph::{bench_cross_validation_report, topology_report};
-use fblas_check::hooks::fault_hook_report;
 use fblas_check::parity::coverage_report;
+use fblas_check::source::repo_root;
 use fblas_check::telemetry::metric_registry_report;
-use fblas_check::threads::{bench_thread_report, repo_root};
 use fblas_check::{Report, Severity};
 use fblas_metrics::Json;
 
@@ -86,22 +81,10 @@ fn main() {
 
     let mut reports: Vec<Report> = points.iter().map(check).collect();
     let root = repo_root();
-    let scans: [(&str, Result<Report, String>); 6] = [
+    let scans: [(&str, Result<Report, String>); 3] = [
         (
             "BENCH paper-parity entries",
             coverage_report(&root.join("BENCH_0001.json")),
-        ),
-        (
-            "bench sources",
-            bench_thread_report(&root).map_err(|e| e.to_string()),
-        ),
-        (
-            "workspace sources",
-            fault_hook_report(&root).map_err(|e| e.to_string()),
-        ),
-        (
-            "policed sources",
-            determinism_report(&root).map_err(|e| e.to_string()),
         ),
         (
             "fast-path sources",

@@ -6,19 +6,15 @@
 //! scanner at fixtures. Exit status 0 iff no native f64 arithmetic is
 //! found.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use fblas_check::lint::{scan_source, scan_tree, LintHit};
+use fblas_check::source::{repo_root, walk_rs_files};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = if args.is_empty() {
-        let repo_root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("crate lives two levels under the repository root")
-            .to_path_buf();
-        scan_tree(&repo_root)
+        scan_tree(&repo_root())
     } else {
         scan_paths(&args)
     };
@@ -41,31 +37,20 @@ fn main() {
     }
 }
 
+/// Scan each argument; a directory is walked in sorted order and its
+/// files are labelled with the `/`-joined path as given.
 fn scan_paths(args: &[String]) -> std::io::Result<Vec<LintHit>> {
     let mut hits = Vec::new();
     for arg in args {
         let path = Path::new(arg);
         if path.is_dir() {
-            collect_dir(path, &mut hits)?;
+            for (label, source) in walk_rs_files(path, Path::new(""))? {
+                hits.extend(scan_source(&label, &source));
+            }
         } else {
             let source = std::fs::read_to_string(path)?;
             hits.extend(scan_source(arg, &source));
         }
     }
     Ok(hits)
-}
-
-fn collect_dir(dir: &Path, hits: &mut Vec<LintHit>) -> std::io::Result<()> {
-    let mut entries: Vec<_> = std::fs::read_dir(dir)?.collect::<Result<_, _>>()?;
-    entries.sort_by_key(std::fs::DirEntry::path);
-    for entry in entries {
-        let path = entry.path();
-        if path.is_dir() {
-            collect_dir(&path, hits)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            let source = std::fs::read_to_string(&path)?;
-            hits.extend(scan_source(&path.display().to_string(), &source));
-        }
-    }
-    Ok(())
 }

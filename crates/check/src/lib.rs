@@ -1,42 +1,35 @@
 //! Static analysis for the FPGA BLAS workspace.
 //!
-//! Two independent tools live here:
+//! Eight analyses live here:
 //!
 //! * [`drc`] — a **design-rule checker** that proves the paper's
 //!   feasibility bounds (area, BRAM, SRAM, bandwidth, hazard and schedule
 //!   legality) for a design point *before* any cycle is simulated, and
 //!   computes cycle-count lower bounds the simulation must not beat.
-//! * [`lint`] — a **softfloat-purity source lint**: a dependency-free
-//!   token-level scanner that rejects native `f64` arithmetic in the
-//!   datapath crates, where every floating-point operation must go
-//!   through the bit-accurate [`fblas_fpu::softfloat`] routines.
-//! * [`parity`] — a **paper-parity coverage rule** proving that every
-//!   row of the shared [`fblas_metrics::PAPER_TOLERANCES`] table is
-//!   carried by exactly one record of the committed `BENCH_0001.json`
-//!   and that no record carries a stale id, so a paper figure can never
-//!   silently go unchecked.
-//! * [`threads`] — a **bench-thread-containment rule**: the observatory's
-//!   byte-determinism rests on all bench parallelism flowing through the
-//!   shared worker pool's ordered reducer, so any thread-creation call in
-//!   `fblas-bench` outside `pool.rs` is an error.
-//! * [`hooks`] — a **fault-hook-purity rule**: the reliability
-//!   subsystem's disarmed-neutrality argument rests on the `.fault_*`
-//!   mutation hooks being reachable only from `Design::inject` bodies and
-//!   `crates/faults`, so a hook call anywhere else in production code is
-//!   an error.
 //! * [`graph`] — a **channel-graph analyzer** over the
 //!   [`fblas_sim::Topology`] each design exports: a deadlock-freedom
 //!   proof (every FIFO cycle can hold its in-flight token demand), a
 //!   sound steady-state throughput bound cross-validated against the
 //!   committed BENCH records, and composed-bandwidth checks on chained
 //!   topologies.
-//! * [`determinism`] — a **workspace determinism lint**: result-affecting
-//!   code in the simulation and bench crates must not read wall clocks,
-//!   host parallelism, ambient randomness, or iterate hash containers.
+//! * [`lint`] — a **softfloat-purity source lint**: a dependency-free
+//!   token-level scanner that rejects native `f64` arithmetic in the
+//!   datapath crates, where every floating-point operation must go
+//!   through the bit-accurate [`fblas_fpu::softfloat`] routines.
 //! * [`fastpath`] — a **fast-path parity coverage rule**: every design
 //!   overriding `Design::fast_forward` must be claimed by a randomized
 //!   backend-parity test, so an accelerated replay can never ship
 //!   without a bit-equality pin against cycle stepping.
+//! * [`telemetry`] — a **telemetry-metric-registry rule**: every
+//!   `.component("…")` id the datapath designs emit must be declared
+//!   with a docstring in [`fblas_telemetry::METRICS`], and every
+//!   declared id must still be emitted, so no telemetry metric is ever
+//!   undocumented or stale.
+//! * [`parity`] — a **paper-parity coverage rule** proving that every
+//!   row of the shared [`fblas_metrics::PAPER_TOLERANCES`] table is
+//!   carried by exactly one record of the committed `BENCH_0001.json`
+//!   and that no record carries a stale id, so a paper figure can never
+//!   silently go unchecked.
 //! * [`serve`] — **serving-store conservation rules**: every tenant in
 //!   every committed `SERVE_*.json` cell must balance its books
 //!   (arrivals = completed + rejected + in-flight), latency digests
@@ -49,34 +42,29 @@
 //!   committed `SCALE_*.json` row must stay at or below its §6.4
 //!   linear-scaling projection with consistent speedup/efficiency
 //!   arithmetic and in-tolerance divergence.
-//! * [`telemetry`] — a **telemetry-metric-registry rule**: every
-//!   `.component("…")` id the datapath designs emit must be declared
-//!   with a docstring in [`fblas_telemetry::METRICS`], and every
-//!   declared id must still be emitted, so no telemetry metric is ever
-//!   undocumented or stale.
 //!
 //! The shared [`source`] module supplies the comment-/string-stripping
-//! and tree-walking primitives all source-level rules build on.
+//! and tree-walking primitives the three source-level rules (`lint`,
+//! `fastpath`, `telemetry`) build on. Determinism, thread containment
+//! and fault-hook purity are not scanned here: the workspace
+//! `clippy.toml` makes them compiler-checked `disallowed-types` and
+//! `disallowed-methods` rules.
 //!
 //! All are exposed as libraries (used by the test suite) and through the
 //! `drc` and `lint` binaries (used by CI).
 
 #![forbid(unsafe_code)]
 
-pub mod determinism;
 pub mod drc;
 pub mod fabric;
 pub mod fastpath;
 pub mod graph;
-pub mod hooks;
 pub mod lint;
 pub mod parity;
 pub mod serve;
 pub mod source;
 pub mod telemetry;
-pub mod threads;
 
-pub use determinism::{determinism_report, scan_workspace as scan_determinism, DeterminismSite};
 pub use drc::{
     check, infeasible_k10_with_rt_core, min_cycles, shipped_design_points, DesignPoint, Diagnostic,
     Kernel, Platform, Report, Severity,
@@ -87,9 +75,7 @@ pub use graph::{
     analyze_topology, bench_cross_validation_report, shipped_topologies, topology_report,
     CycleProof, ThroughputBound,
 };
-pub use hooks::{fault_hook_report, scan_workspace_tree, HookContext, HookSite};
 pub use lint::{scan_source, scan_tree, LintHit};
 pub use parity::{check_records, coverage_report};
 pub use serve::check_serve_set;
 pub use telemetry::{check_sites, metric_registry_report, scan_metric_sites, MetricSite};
-pub use threads::{bench_thread_report, scan_bench_tree, ThreadSite};

@@ -318,8 +318,8 @@ fn skip_item(toks: &[Tok], mut i: usize) -> usize {
 
 /// Identifiers with local evidence of `f64` type: `name: f64` bindings,
 /// parameters and fields, plus names of functions declared `-> f64`.
-fn collect_floaty_idents(toks: &[Tok]) -> std::collections::HashSet<String> {
-    let mut floaty = std::collections::HashSet::new();
+fn collect_floaty_idents(toks: &[Tok]) -> std::collections::BTreeSet<String> {
+    let mut floaty = std::collections::BTreeSet::new();
     for w in 0..toks.len() {
         // `ident : [& mut] f64`
         if toks[w].kind == Kind::Ident && toks.get(w + 1).is_some_and(|t| t.text == ":") {
@@ -356,7 +356,7 @@ fn collect_floaty_idents(toks: &[Tok]) -> std::collections::HashSet<String> {
 fn float_evidence(
     toks: &[Tok],
     idx: usize,
-    floaty: &std::collections::HashSet<String>,
+    floaty: &std::collections::BTreeSet<String>,
     backwards: bool,
 ) -> Option<String> {
     let t = toks.get(idx)?;

@@ -275,7 +275,6 @@ pub fn check_serve_set(set: &ServeSet) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fblas_core::dot::{DotParams, DotProductDesign};
     use fblas_metrics::LatencyDigest;
     use fblas_sim::Harness;
 
@@ -403,17 +402,5 @@ mod tests {
             .rule("serve-timeline")
             .iter()
             .any(|d| d.severity == Severity::Error && d.message.contains("cannot fit")));
-    }
-
-    #[test]
-    fn the_serve_crate_is_in_the_determinism_scan() {
-        assert!(
-            crate::determinism::DETERMINISM_ROOTS.contains(&"crates/serve/src"),
-            "the serving front end writes committed records; it must be swept"
-        );
-        // And its calibration really runs the instrumented design.
-        let d = DotProductDesign::standalone(DotParams::table3(), 170.0);
-        let out = d.run_in(&mut Harness::new(), &[1.0, 2.0], &[3.0, 4.0]);
-        assert!(out.report.cycles > 0);
     }
 }

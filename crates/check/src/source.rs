@@ -1,9 +1,9 @@
 //! Shared source-scanning utilities for the token-level rules.
 //!
-//! Every source-level rule in this crate — softfloat purity ([`crate::lint`]),
-//! bench-thread containment ([`crate::threads`]), fault-hook purity
-//! ([`crate::hooks`]) and the determinism lint ([`crate::determinism`]) —
-//! needs the same two primitives:
+//! Every source-level rule in this crate — softfloat purity
+//! ([`crate::lint`]), fast-path parity coverage ([`crate::fastpath`]) and
+//! the telemetry metric registry ([`crate::telemetry`]) — needs the same
+//! two primitives:
 //!
 //! * [`strip`] — replace comments, strings and char literals with spaces
 //!   while preserving line structure, so rules never fire on prose and
@@ -12,13 +12,14 @@
 //!   and yield each `.rs` file as a repo-root-relative label plus its
 //!   contents, so every rule labels findings identically.
 //!
-//! Both used to live as private copies inside the individual rules; they
-//! are deduplicated here so a fix to (say) raw-string handling reaches
-//! every rule at once.
+//! Both live here once, so a fix to (say) raw-string handling reaches
+//! every rule at once. Rules a compiler can check (determinism, thread
+//! containment, fault-hook purity) are not scanned at all: they are
+//! `disallowed-types`/`disallowed-methods` entries in `clippy.toml`.
 
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 
 /// Replace comments, strings and char literals with spaces, preserving
 /// line structure so token line numbers stay correct. Handles nested
@@ -150,12 +151,16 @@ fn char_literal_end(chars: &[char], i: usize) -> Option<usize> {
 }
 
 /// Repo-root-relative label for a path, with `/` separators on every
-/// platform (the form all rule allowlists are written in).
+/// platform (the form all rule allowlists are written in). A path that
+/// stays absolute keeps its leading `/`.
 pub fn file_label(path: &Path, repo_root: &Path) -> String {
     path.strip_prefix(repo_root)
         .unwrap_or(path)
         .components()
-        .map(|c| c.as_os_str().to_string_lossy())
+        .map(|c| match c {
+            Component::RootDir => "".into(),
+            _ => c.as_os_str().to_string_lossy(),
+        })
         .collect::<Vec<_>>()
         .join("/")
 }
@@ -219,6 +224,17 @@ mod tests {
         let s = strip("fn f<'a>(x: &'a str) { let r = r#\"raw \" body\"#; }");
         assert!(s.contains("'a"), "lifetimes survive: {s}");
         assert!(!s.contains("raw"), "raw string blanked: {s}");
+    }
+
+    #[test]
+    fn labels_outside_the_root_keep_the_path_as_given() {
+        let empty = Path::new("");
+        assert_eq!(file_label(Path::new("/a/b.rs"), empty), "/a/b.rs");
+        assert_eq!(file_label(Path::new("./a/b.rs"), empty), "./a/b.rs");
+        assert_eq!(
+            file_label(Path::new("/r/a/b.rs"), Path::new("/r")),
+            "a/b.rs"
+        );
     }
 
     #[test]

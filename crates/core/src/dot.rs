@@ -569,6 +569,10 @@ impl<R: Reducer> Design for DotRun<'_, R> {
         t
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fault delivery: the harness calls inject only while a fault is armed"
+    )]
     fn inject(&mut self, fault: &FaultSpec) -> bool {
         match fault.kind {
             FaultKind::PipelineBitFlip { stage, bit } => self

@@ -390,6 +390,10 @@ impl Design for AxpyRun {
         probe.record_latencies(ids.lanes, self.pipe.latency() as u64, groups);
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fault delivery: the harness calls inject only while a fault is armed"
+    )]
     fn inject(&mut self, fault: &FaultSpec) -> bool {
         match fault.kind {
             // Lane 0 of the in-flight batch at `stage`: all lanes are
@@ -662,6 +666,10 @@ impl Design for ScalRun {
         probe.record_latencies(ids.lanes, self.pipe.latency() as u64, groups);
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fault delivery: the harness calls inject only while a fault is armed"
+    )]
     fn inject(&mut self, fault: &FaultSpec) -> bool {
         match fault.kind {
             FaultKind::PipelineBitFlip { stage, bit } => self
@@ -999,6 +1007,10 @@ impl Design for AsumRun {
         t
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fault delivery: the harness calls inject only while a fault is armed"
+    )]
     fn inject(&mut self, fault: &FaultSpec) -> bool {
         match fault.kind {
             FaultKind::PipelineBitFlip { stage, bit } => self

@@ -287,6 +287,10 @@ impl Design for BlockRun<'_> {
         Some(self.macs + self.writes_done)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fault delivery: the harness calls inject only while a fault is armed"
+    )]
     fn inject(&mut self, fault: &FaultSpec) -> bool {
         match fault.kind {
             FaultKind::PipelineBitFlip { stage, bit } => {

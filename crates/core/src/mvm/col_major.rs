@@ -488,6 +488,10 @@ impl Design for ColMvmRun<'_> {
         Some(self.values_fed + self.writes_done)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fault delivery: the harness calls inject only while a fault is armed"
+    )]
     fn inject(&mut self, fault: &FaultSpec) -> bool {
         match fault.kind {
             // Try the multiplier bank first; if the stage is a bubble

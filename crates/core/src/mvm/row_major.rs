@@ -531,6 +531,10 @@ impl<R: Reducer> Design for RowMvmRun<'_, R> {
         Some(self.values_fed + self.reducer.adds_issued() + self.done_rows as u64)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fault delivery: the harness calls inject only while a fault is armed"
+    )]
     fn inject(&mut self, fault: &FaultSpec) -> bool {
         match fault.kind {
             FaultKind::PipelineBitFlip { stage, bit } => self

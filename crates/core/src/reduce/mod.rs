@@ -121,8 +121,8 @@ pub trait Reducer {
     /// architecturally masked. The default is a circuit with no exposed
     /// storage: every such fault is masked.
     ///
-    /// Only call this from a [`Design::inject`] implementation (enforced
-    /// by the `fault-hook-purity` DRC rule).
+    /// Only call this from a [`Design::inject`] implementation (a
+    /// `disallowed-methods` entry in `clippy.toml`).
     fn fault_stuck_at(&mut self, _slot: usize, _bit: u32) -> bool {
         false
     }

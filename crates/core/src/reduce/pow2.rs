@@ -34,7 +34,7 @@ pub struct Pow2Reducer {
     /// Pair-operations awaiting the shared adder.
     pending_ops: VecDeque<(Partial, Partial)>,
     /// Size (log2) of each announced set.
-    set_log2: std::collections::HashMap<u64, u32>,
+    set_log2: std::collections::BTreeMap<u64, u32>,
     current_set: Option<u64>,
     current_count: u64,
     open_sets: usize,
@@ -51,7 +51,7 @@ impl Pow2Reducer {
             adder: PipelinedAdder::with_stages(alpha),
             levels: Vec::new(),
             pending_ops: VecDeque::new(),
-            set_log2: std::collections::HashMap::new(),
+            set_log2: std::collections::BTreeMap::new(),
             current_set: None,
             current_count: 0,
             open_sets: 0,

@@ -483,6 +483,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unit test of the fault hook itself"
+    )]
     fn fault_stuck_at_clears_a_buffered_bit_or_masks_when_empty() {
         use crate::reduce::ReduceInput;
         let mut r = SingleAdderReducer::new(4);
@@ -515,6 +519,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unit test of the fault hook itself"
+    )]
     fn reducers_without_exposed_storage_mask_stuck_at_faults() {
         let mut r = crate::reduce::StallingReducer::new(4);
         assert!(!r.fault_stuck_at(0, 5), "trait default masks");

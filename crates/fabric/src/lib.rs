@@ -24,7 +24,7 @@
 //!   speedup never exceeds the §6.4 projection (the `observatory
 //!   scale` gate).
 //! * **Determinism** — no wall clock, no hash iteration, no native
-//!   f64 in the datapath; the softfloat and determinism lints police
+//!   f64 in the datapath; the softfloat lint and `clippy.toml` police
 //!   this tree like any kernel crate.
 
 pub mod link;

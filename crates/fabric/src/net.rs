@@ -14,7 +14,7 @@
 //! are full duplex), so result drain never steals operand bandwidth —
 //! but flows *within* a direction share each hop and contend there.
 //! Routing tables are plain `Vec` position lookups: no hash maps, per
-//! the workspace determinism lint.
+//! `clippy.toml`.
 
 use crate::link::{FabricLink, LinkClass, LinkReport, RingSpec};
 

@@ -164,7 +164,11 @@ impl<T> PipelinedAdder<T> {
     /// pipeline stage `stage` (0 = emerging next; reduced modulo the
     /// depth), modelling an SEU in an adder pipeline register. Returns
     /// false if that stage holds a bubble. Only call from a
-    /// `Design::inject` implementation (`fault-hook-purity` DRC rule).
+    /// `Design::inject` implementation (`disallowed-methods` in `clippy.toml`).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "hook delegation: this hook is itself callable only from inject"
+    )]
     pub fn fault_flip_in_flight(&mut self, stage: usize, bit: u32) -> bool {
         self.unit
             .pipe
@@ -250,7 +254,11 @@ impl<T> PipelinedMultiplier<T> {
     /// Fault-injection hook: flip one bit of the product in flight at
     /// pipeline stage `stage` (see
     /// [`PipelinedAdder::fault_flip_in_flight`]). Only call from a
-    /// `Design::inject` implementation (`fault-hook-purity` DRC rule).
+    /// `Design::inject` implementation (`disallowed-methods` in `clippy.toml`).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "hook delegation: this hook is itself callable only from inject"
+    )]
     pub fn fault_flip_in_flight(&mut self, stage: usize, bit: u32) -> bool {
         self.unit
             .pipe
@@ -484,6 +492,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unit test of the fault hook itself"
+    )]
     fn fault_flip_corrupts_exactly_one_in_flight_bit() {
         let mut add = PipelinedAdder::<u8>::with_stages(4);
         add.step(Some((1.0, 2.0, 1)));

@@ -129,6 +129,10 @@ fn any_single_bit_flip_keeps_the_datapath_ieee_exact() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit test of the fault hook itself"
+)]
 fn flip_inject_then_flip_back_restores_the_pipelined_result_bit_exactly() {
     use fblas_fpu::PipelinedAdder;
     // Retry-with-replay leans on this: a corrupted in-flight value whose

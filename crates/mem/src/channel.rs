@@ -116,7 +116,7 @@ impl ReadChannel {
     /// false for a zero-beat request (architecturally masked).
     ///
     /// Only call this from a [`fblas_sim::Design::inject`] implementation
-    /// (enforced by the `fault-hook-purity` DRC rule).
+    /// (a `disallowed-methods` entry in `clippy.toml`).
     pub fn fault_drop_beats(&mut self, beats: u64) -> bool {
         if beats == 0 {
             return false;
@@ -250,6 +250,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unit test of the fault hook itself"
+    )]
     fn fault_drop_beats_denies_exactly_that_many_ticks() {
         let mut ch = ReadChannel::new((0..8).map(f64::from).collect(), 1.0);
         ch.tick();

@@ -102,7 +102,7 @@ impl LocalStore {
     /// access. Returns false for a zero-capacity store.
     ///
     /// Only call this from a [`fblas_sim::Design::inject`] implementation
-    /// (enforced by the `fault-hook-purity` DRC rule).
+    /// (a `disallowed-methods` entry in `clippy.toml`).
     pub fn fault_mutate(&mut self, idx: usize, f: impl FnOnce(&mut f64)) -> bool {
         if self.words.is_empty() {
             return false;
@@ -144,6 +144,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unit test of the fault hook itself"
+    )]
     fn fault_mutate_leaves_access_counters_alone() {
         let mut s = LocalStore::new("y'", 2);
         s.write(1, 4.0);

@@ -130,7 +130,7 @@ impl<T> DelayLine<T> {
     /// masked.
     ///
     /// Only call this from a [`Design::inject`](crate::Design::inject)
-    /// implementation (enforced by the `fault-hook-purity` DRC rule).
+    /// implementation (a `disallowed-methods` entry in `clippy.toml`).
     pub fn fault_mutate(&mut self, stage: usize, f: impl FnOnce(&mut T)) -> bool {
         let len = self.slots.len();
         let idx = (self.head + stage % len) % len;
@@ -228,6 +228,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unit test of the fault hook itself"
+    )]
     fn fault_mutate_targets_stage_relative_to_emergence() {
         let mut d = DelayLine::new(3);
         d.step(Some(10u8)); // will emerge in 3 more steps

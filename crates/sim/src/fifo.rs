@@ -137,7 +137,7 @@ impl<T> Fifo<T> {
     /// unoccupied storage and is architecturally masked.
     ///
     /// Only call this from a [`Design::inject`](crate::Design::inject)
-    /// implementation (enforced by the `fault-hook-purity` DRC rule):
+    /// implementation (a `disallowed-methods` entry in `clippy.toml`):
     /// that path runs solely while a fault schedule is armed, keeping
     /// ordinary simulation provably unperturbed.
     pub fn fault_mutate(&mut self, slot: usize, f: impl FnOnce(&mut T)) -> bool {
@@ -233,6 +233,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unit test of the fault hook itself"
+    )]
     fn fault_mutate_hits_occupied_slots_and_misses_empty() {
         let mut f = Fifo::new(4);
         assert!(!f.fault_mutate(0, |v: &mut u64| *v ^= 1), "empty fifo");

@@ -3,7 +3,7 @@
 //! Matrices are dense row-major `&[f64]` of shape `rows × cols`. As
 //! with [`crate::gemm`], every rung runs through the single
 //! [`gemv_panel`] loop nest: each `y[i]` accumulates directly in
-//! ascending-j order regardless of panel width or thread count, so all
+//! ascending-j order regardless of panel width, so all
 //! rungs agree bit-for-bit on **any** input. (The blocked rung
 //! historically kept a per-panel partial sum and folded it in at panel
 //! end — a different association that diverged from the naive rung on
@@ -23,20 +23,19 @@ pub fn gemv_blocked(a: &[f64], rows: usize, cols: usize, x: &[f64], panel: usize
     assert_eq!(x.len(), cols, "x length mismatch");
     assert!(panel > 0, "panel width must be positive");
     let mut y = vec![0.0f64; rows];
-    gemv_panel(a, 0, cols, x, panel, &mut y);
+    gemv_panel(a, cols, x, panel, &mut y);
     y
 }
 
-/// The one shared loop nest: accumulate `y[i] += A[lo+i][·]·x` for the
-/// row range covered by the `y` slice, column-panelled, folding each
-/// product straight into `y[i]` so the association is ascending-j for
-/// every panel width.
-fn gemv_panel(a: &[f64], lo: usize, cols: usize, x: &[f64], panel: usize, y: &mut [f64]) {
+/// The one shared loop nest: accumulate `y[i] += A[i][·]·x`,
+/// column-panelled, folding each product straight into `y[i]` so the
+/// association is ascending-j for every panel width.
+fn gemv_panel(a: &[f64], cols: usize, x: &[f64], panel: usize, y: &mut [f64]) {
     let mut c0 = 0;
     while c0 < cols {
         let c1 = (c0 + panel).min(cols);
         for (i, yi) in y.iter_mut().enumerate() {
-            let row = &a[(lo + i) * cols + c0..(lo + i) * cols + c1];
+            let row = &a[i * cols + c0..i * cols + c1];
             let xs = &x[c0..c1];
             for (aij, xj) in row.iter().zip(xs) {
                 *yi += aij * xj;
@@ -44,30 +43,6 @@ fn gemv_panel(a: &[f64], lo: usize, cols: usize, x: &[f64], panel: usize, y: &mu
         }
         c0 = c1;
     }
-}
-
-/// Multi-threaded y = A·x: row ranges distributed over scoped threads
-/// (disjoint output slices, no synchronization needed), each running
-/// the shared [`gemv_panel`] nest.
-pub fn gemv_parallel(a: &[f64], rows: usize, cols: usize, x: &[f64], threads: usize) -> Vec<f64> {
-    assert_eq!(a.len(), rows * cols, "matrix shape mismatch");
-    assert_eq!(x.len(), cols, "x length mismatch");
-    assert!(threads >= 1, "need at least one thread");
-    let mut y = vec![0.0f64; rows];
-    let rows_per = rows.div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut rest: &mut [f64] = &mut y;
-        let mut row0 = 0usize;
-        while row0 < rows {
-            let chunk = rows_per.min(rows - row0);
-            let (panel, tail) = rest.split_at_mut(chunk);
-            rest = tail;
-            let lo = row0;
-            s.spawn(move || gemv_panel(a, lo, cols, x, cols.max(1), panel));
-            row0 += chunk;
-        }
-    });
-    y
 }
 
 #[cfg(test)]
@@ -117,13 +92,6 @@ mod tests {
                     "{rows}x{cols} panel {panel}"
                 );
             }
-            for threads in [2usize, 5, 16] {
-                assert_eq!(
-                    bits(&gemv_parallel(&a, rows, cols, &x, threads)),
-                    bits(&reference),
-                    "{rows}x{cols} threads {threads}"
-                );
-            }
         }
     }
 
@@ -135,18 +103,6 @@ mod tests {
                 gemv_blocked(&a, rows, cols, &x, panel),
                 gemv_naive(&a, rows, cols, &x),
                 "{rows}x{cols} panel {panel}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_matches_naive() {
-        for threads in [1, 2, 5, 16] {
-            let (a, x) = int_case(37, 29);
-            assert_eq!(
-                gemv_parallel(&a, 37, 29, &x, threads),
-                gemv_naive(&a, 37, 29, &x),
-                "threads = {threads}"
             );
         }
     }
