@@ -45,52 +45,5 @@ fn bench_softfloat(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_div_sqrt(c: &mut Criterion) {
-    use fblas_fpu::softfloat_ext::{div_f64, sqrt_f64};
-    let xs = synth(3, 1024);
-    let ys: Vec<f64> = synth(4, 1024).iter().map(|v| v + 2.0).collect();
-
-    let mut g = c.benchmark_group("softfloat_div_sqrt");
-    g.throughput(criterion::Throughput::Elements(1024));
-
-    g.bench_function("softfloat_div_1024", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for (x, y) in xs.iter().zip(&ys) {
-                acc += div_f64(*x, *y);
-            }
-            black_box(acc)
-        });
-    });
-    g.bench_function("native_div_1024", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for (x, y) in xs.iter().zip(&ys) {
-                acc += *x / *y;
-            }
-            black_box(acc)
-        });
-    });
-    g.bench_function("softfloat_sqrt_1024", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for y in &ys {
-                acc += sqrt_f64(*y);
-            }
-            black_box(acc)
-        });
-    });
-    g.bench_function("native_sqrt_1024", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for y in &ys {
-                acc += y.sqrt();
-            }
-            black_box(acc)
-        });
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_softfloat, bench_div_sqrt);
+criterion_group!(benches, bench_softfloat);
 criterion_main!(benches);

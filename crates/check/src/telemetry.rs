@@ -2,9 +2,9 @@
 //! datapath designs emit must be declared in the central registry.
 //!
 //! [`fblas_telemetry::METRICS`] is the single source of truth for the
-//! component ids that key every telemetry surface — windowed series,
-//! Chrome counter tracks, the Prometheus snapshot (whose `# HELP` lines
-//! come from the registry docstrings) and the JSONL event log. This rule
+//! component ids that key every telemetry surface — the windowed series
+//! of the `TELEM` store and the Chrome counter tracks. Its docstrings
+//! feed only this rule, which reports them per matched site. This rule
 //! closes the loop statically: it scans the datapath source trees for
 //! `.component("…")` call sites and proves both directions. An emitted
 //! id the registry does not declare is undocumented telemetry

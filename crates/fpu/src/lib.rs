@@ -30,12 +30,7 @@
 pub mod cost;
 pub mod pipelined;
 pub mod softfloat;
-pub mod softfloat_ext;
 
 pub use cost::{UnitCost, FP_ADDER, FP_MULTIPLIER};
-pub use pipelined::{
-    PipelinedAdder, PipelinedDivider, PipelinedMultiplier, PipelinedSqrt, ADDER_STAGES,
-    DIVIDER_STAGES, MULTIPLIER_STAGES, SQRT_STAGES,
-};
+pub use pipelined::{PipelinedAdder, PipelinedMultiplier, ADDER_STAGES, MULTIPLIER_STAGES};
 pub use softfloat::{sf_add, sf_mul, sf_sub};
-pub use softfloat_ext::{sf_div, sf_sqrt};

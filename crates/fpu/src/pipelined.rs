@@ -47,7 +47,7 @@ impl<T> PipelinedUnit<T> {
     /// issue port: staging twice between edges is a double issue — two
     /// drivers on the same port — and a scheduling bug in the caller.
     fn stage(&mut self, a: f64, b: f64, tag: T) {
-        debug_assert!(
+        assert!(
             self.staged.is_none(),
             "double issue: a single-issue floating-point unit was given two \
              operations in the same cycle"
@@ -56,7 +56,7 @@ impl<T> PipelinedUnit<T> {
     }
 
     fn step(&mut self, input: Option<(f64, f64, T)>, op: fn(u64, u64) -> u64) -> Option<Tagged<T>> {
-        debug_assert!(
+        assert!(
             !(input.is_some() && self.staged.is_some()),
             "double issue: step(Some(..)) while another operation is staged \
              for this cycle"
@@ -117,7 +117,7 @@ impl<T> PipelinedAdder<T> {
     /// Stage `a + b` for the upcoming clock edge without advancing the
     /// clock; the next [`PipelinedAdder::step`]`(None)` issues it. Control
     /// logic with several candidate producers can use this split form —
-    /// staging twice in one cycle trips a debug assertion, catching
+    /// staging twice in one cycle trips an assertion, catching
     /// schedules that double-issue a single-issue unit.
     pub fn issue(&mut self, a: f64, b: f64, tag: T) {
         self.unit.stage(a, b, tag);
@@ -209,7 +209,7 @@ impl<T> PipelinedMultiplier<T> {
     }
 
     /// Stage `a × b` for the upcoming clock edge; see
-    /// [`PipelinedAdder::issue`]. Double-staging trips a debug assertion.
+    /// [`PipelinedAdder::issue`]. Double-staging trips an assertion.
     pub fn issue(&mut self, a: f64, b: f64, tag: T) {
         self.unit.stage(a, b, tag);
     }
@@ -267,111 +267,6 @@ impl<T> PipelinedMultiplier<T> {
 }
 
 impl<T> Default for PipelinedMultiplier<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Pipeline depth of a double-precision divider of the era (digit
-/// recurrence, ~2 stages per quotient bit group). Not from the paper's
-/// Table 2 — the paper's designs need no divider — but the Govindu core
-/// library provides one; this depth is representative.
-pub const DIVIDER_STAGES: usize = 32;
-/// Representative pipeline depth of a double-precision square-root core.
-pub const SQRT_STAGES: usize = 32;
-
-/// Pipelined IEEE-754 binary64 divider (one issue per cycle).
-#[derive(Debug, Clone)]
-pub struct PipelinedDivider<T = ()> {
-    unit: PipelinedUnit<T>,
-}
-
-impl<T> PipelinedDivider<T> {
-    /// Create a divider with the representative depth [`DIVIDER_STAGES`].
-    pub fn new() -> Self {
-        Self::with_stages(DIVIDER_STAGES)
-    }
-
-    /// Create a divider with an explicit pipeline depth.
-    pub fn with_stages(stages: usize) -> Self {
-        Self {
-            unit: PipelinedUnit::new(stages),
-        }
-    }
-
-    /// Advance one cycle, optionally issuing `a / b` tagged with `tag`.
-    pub fn step(&mut self, input: Option<(f64, f64, T)>) -> Option<Tagged<T>> {
-        self.unit.step(input, crate::softfloat_ext::sf_div)
-    }
-
-    /// Pipeline depth in cycles.
-    pub fn latency(&self) -> usize {
-        self.unit.pipe.latency()
-    }
-
-    /// True if no divisions are in flight.
-    pub fn is_empty(&self) -> bool {
-        self.unit.pipe.is_empty()
-    }
-}
-
-impl<T> Default for PipelinedDivider<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Pipelined IEEE-754 binary64 square-root unit (one issue per cycle).
-#[derive(Debug, Clone)]
-pub struct PipelinedSqrt<T = ()> {
-    pipe: DelayLine<Tagged<T>>,
-    ops_issued: u64,
-}
-
-impl<T> PipelinedSqrt<T> {
-    /// Create a square-root unit with the representative depth
-    /// [`SQRT_STAGES`].
-    pub fn new() -> Self {
-        Self::with_stages(SQRT_STAGES)
-    }
-
-    /// Create a unit with an explicit pipeline depth.
-    pub fn with_stages(stages: usize) -> Self {
-        Self {
-            pipe: DelayLine::new(stages),
-            ops_issued: 0,
-        }
-    }
-
-    /// Advance one cycle, optionally issuing `√a` tagged with `tag`.
-    pub fn step(&mut self, input: Option<(f64, T)>) -> Option<Tagged<T>> {
-        let computed = input.map(|(a, tag)| {
-            self.ops_issued += 1;
-            Tagged {
-                value: f64::from_bits(crate::softfloat_ext::sf_sqrt(a.to_bits())),
-                tag,
-            }
-        });
-        self.pipe.step(computed)
-    }
-
-    /// Pipeline depth in cycles.
-    pub fn latency(&self) -> usize {
-        self.pipe.latency()
-    }
-
-    /// True if no operations are in flight.
-    pub fn is_empty(&self) -> bool {
-        self.pipe.is_empty()
-    }
-
-    /// Total operations issued.
-    pub fn ops_issued(&self) -> u64 {
-        self.ops_issued
-    }
-}
-
-impl<T> Default for PipelinedSqrt<T> {
     fn default() -> Self {
         Self::new()
     }
@@ -436,31 +331,6 @@ mod tests {
         }
         assert!((add.utilization() - 0.25).abs() < 1e-12);
         assert_eq!(add.ops_issued(), 25);
-    }
-
-    #[test]
-    fn divider_and_sqrt_units() {
-        let mut div = PipelinedDivider::<u8>::with_stages(3);
-        div.step(Some((1.0, 3.0, 9)));
-        div.step(None);
-        div.step(None);
-        let out = div.step(None).expect("after 3 cycles");
-        assert_eq!(out.value.to_bits(), (1.0f64 / 3.0f64).to_bits());
-        assert_eq!(out.tag, 9);
-        assert!(div.is_empty());
-
-        let mut sq = PipelinedSqrt::<()>::with_stages(2);
-        sq.step(Some((2.0, ())));
-        sq.step(None);
-        let out = sq.step(None).expect("after 2 cycles");
-        assert_eq!(out.value.to_bits(), 2.0f64.sqrt().to_bits());
-        assert_eq!(sq.ops_issued(), 1);
-    }
-
-    #[test]
-    fn default_div_sqrt_depths() {
-        assert_eq!(PipelinedDivider::<()>::new().latency(), DIVIDER_STAGES);
-        assert_eq!(PipelinedSqrt::<()>::new().latency(), SQRT_STAGES);
     }
 
     #[test]

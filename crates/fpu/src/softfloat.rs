@@ -97,22 +97,6 @@ fn shift_right_sticky(sig: u64, n: u32) -> u64 {
     }
 }
 
-/// 128-bit variant of [`shift_right_sticky`] for wide intermediate
-/// products (kept alongside the 64-bit shifter; the multiplier collapses
-/// its sticky computation inline but tests exercise this form too).
-#[inline]
-#[allow(dead_code)]
-fn shift_right_sticky_u128(sig: u128, n: u32) -> u128 {
-    if n == 0 {
-        sig
-    } else if n >= 128 {
-        u128::from(sig != 0)
-    } else {
-        let lost = sig & ((1u128 << n) - 1);
-        (sig >> n) | u128::from(lost != 0)
-    }
-}
-
 /// Round-to-nearest-even decision for a significand whose lowest `grs_bits`
 /// bits are guard/round/sticky information and whose true LSB sits just
 /// above them.
@@ -304,12 +288,6 @@ pub(crate) fn round_pack(sign: u64, mut e: i32, mut sig: u64, grs: u32) -> u64 {
 #[inline]
 pub fn add_f64(a: f64, b: f64) -> f64 {
     f64::from_bits(sf_add(a.to_bits(), b.to_bits()))
-}
-
-/// Convenience wrapper: subtract two `f64`s through the softfloat core.
-#[inline]
-pub fn sub_f64(a: f64, b: f64) -> f64 {
-    f64::from_bits(sf_sub(a.to_bits(), b.to_bits()))
 }
 
 /// Convenience wrapper: multiply two `f64`s through the softfloat core.
@@ -543,7 +521,5 @@ mod tests {
         assert_eq!(shift_right_sticky(0b1010_0000, 5), 0b101);
         assert_eq!(shift_right_sticky(1, 64), 1);
         assert_eq!(shift_right_sticky(0, 64), 0);
-        assert_eq!(shift_right_sticky_u128(1 << 100, 100), 1);
-        assert_eq!(shift_right_sticky_u128((0b10 << 100) | 1, 100), 0b11);
     }
 }

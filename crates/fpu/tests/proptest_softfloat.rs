@@ -6,7 +6,6 @@
 //! implementation-defined.
 
 use fblas_fpu::softfloat::{self, sf_add, sf_mul, sf_sub};
-use fblas_fpu::softfloat_ext::{sf_div, sf_sqrt};
 use proptest::prelude::*;
 
 /// Bit-exact equality with NaNs treated as one class.
@@ -95,43 +94,6 @@ proptest! {
     fn mul_identity_one(a in any_bits()) {
         prop_assume!(!softfloat::is_nan(a));
         prop_assert_eq!(sf_mul(a, 1.0f64.to_bits()), a);
-    }
-
-    #[test]
-    fn div_matches_native(a in any_bits(), b in any_bits()) {
-        let ours = sf_div(a, b);
-        let native = f64::from_bits(a) / f64::from_bits(b);
-        prop_assert!(
-            same(ours, native),
-            "div({a:#018x}, {b:#018x}) = {ours:#018x}, native {:#018x}",
-            native.to_bits()
-        );
-    }
-
-    #[test]
-    fn sqrt_matches_native(a in any_bits()) {
-        let ours = sf_sqrt(a);
-        let native = f64::from_bits(a).sqrt();
-        prop_assert!(
-            same(ours, native),
-            "sqrt({a:#018x}) = {ours:#018x}, native {:#018x}",
-            native.to_bits()
-        );
-    }
-
-    #[test]
-    fn div_by_self_is_one(a in any_bits()) {
-        let v = f64::from_bits(a);
-        prop_assume!(v.is_finite() && v != 0.0);
-        prop_assert_eq!(sf_div(a, a), 1.0f64.to_bits());
-    }
-
-    #[test]
-    fn sqrt_then_square_round_trips_within_two_ulp(v in 1e-300f64..1e300) {
-        let r = f64::from_bits(sf_sqrt(v.to_bits()));
-        let back = f64::from_bits(sf_mul(r.to_bits(), r.to_bits()));
-        let ulp = (v.to_bits() as i64 - back.to_bits() as i64).abs();
-        prop_assert!(ulp <= 2, "√ then square drifted {ulp} ulp for {v:e}");
     }
 
     #[test]

@@ -102,25 +102,6 @@ impl CsrMatrix {
         self.row_ptr[i + 1] - self.row_ptr[i]
     }
 
-    /// The diagonal entry of row i, if stored.
-    pub fn diagonal(&self, i: usize) -> Option<f64> {
-        self.row(i).find(|&(c, _)| c == i).map(|(_, v)| v)
-    }
-
-    /// Whether the matrix is strictly diagonally dominant (a sufficient
-    /// condition for Jacobi convergence).
-    pub fn is_strictly_diagonally_dominant(&self) -> bool {
-        (0..self.n_rows.min(self.n_cols)).all(|i| {
-            let diag = self.diagonal(i).unwrap_or(0.0).abs();
-            let off: f64 = self
-                .row(i)
-                .filter(|&(c, _)| c != i)
-                .map(|(_, v)| v.abs())
-                .sum();
-            diag > off
-        })
-    }
-
     /// Extract columns `lo..hi` as their own CSR matrix (columns
     /// reindexed to start at zero) — the panel decomposition the blocked
     /// `SpMV` driver uses when x exceeds on-chip storage.
@@ -135,17 +116,6 @@ impl CsrMatrix {
             }
         }
         CsrMatrix::from_triplets(self.n_rows, hi - lo, &trip)
-    }
-
-    /// Whether the matrix equals its transpose (required for CG).
-    pub fn is_symmetric(&self) -> bool {
-        if self.n_rows != self.n_cols {
-            return false;
-        }
-        (0..self.n_rows).all(|i| {
-            self.row(i)
-                .all(|(j, v)| self.row(j).find(|&(c, _)| c == i).map(|(_, w)| w) == Some(v))
-        })
     }
 
     /// Reference y = A·x in plain f64.
@@ -175,8 +145,8 @@ mod tests {
     fn triplets_sum_duplicates() {
         let m = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 0, 2.0), (1, 1, 3.0)]);
         assert_eq!(m.nnz(), 2);
-        assert_eq!(m.diagonal(0), Some(3.0));
-        assert_eq!(m.diagonal(1), Some(3.0));
+        assert_eq!(m.row(0).collect::<Vec<_>>(), vec![(0, 3.0)]);
+        assert_eq!(m.row(1).collect::<Vec<_>>(), vec![(1, 3.0)]);
     }
 
     #[test]
@@ -196,14 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_dominance() {
-        let dd = CsrMatrix::from_dense(&[4.0, 1.0, 2.0, 5.0], 2, 2);
-        assert!(dd.is_strictly_diagonally_dominant());
-        let not = CsrMatrix::from_dense(&[1.0, 2.0, 3.0, 1.0], 2, 2);
-        assert!(!not.is_strictly_diagonally_dominant());
-    }
-
-    #[test]
     fn column_panels_partition_the_matrix() {
         let dense = vec![1.0, 2.0, 0.0, 3.0, 0.0, 4.0, 5.0, 0.0, 6.0];
         let m = CsrMatrix::from_dense(&dense, 3, 3);
@@ -214,33 +176,6 @@ mod tests {
         assert_eq!(right.n_cols(), 1);
         // Reindexed column: original column 2 becomes panel column 0.
         assert_eq!(right.row(1).collect::<Vec<_>>(), vec![(0, 4.0)]);
-    }
-
-    #[test]
-    fn symmetry_check() {
-        let sym = CsrMatrix::from_triplets(
-            3,
-            3,
-            &[
-                (0, 0, 2.0),
-                (0, 1, -1.0),
-                (1, 0, -1.0),
-                (1, 1, 2.0),
-                (2, 2, 1.0),
-            ],
-        );
-        assert!(sym.is_symmetric());
-        let asym = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0)]);
-        assert!(!asym.is_symmetric());
-        let rect = CsrMatrix::from_triplets(2, 3, &[]);
-        assert!(!rect.is_symmetric());
-    }
-
-    #[test]
-    fn missing_diagonal() {
-        let m = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0)]);
-        assert_eq!(m.diagonal(0), None);
-        assert!(!m.is_strictly_diagonally_dominant());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Extensions from the paper's concluding remarks (§7).
 //!
-//! Beyond the three BLAS operations, the authors point to two follow-on
-//! designs built from the same components:
+//! Beyond the three BLAS operations, the authors point to follow-on
+//! designs built from the same components. This crate models the one the
+//! paper matrix measures:
 //!
 //! * [`spmv`] — floating-point **sparse** matrix-vector multiply
 //!   (FPGA'05 \[32\]): the tree-based Level-2 architecture fed from a
@@ -9,25 +10,17 @@
 //!   reduction sets have arbitrary sizes — the workload that motivates
 //!   the §4.3 circuit's "multiple sets of arbitrary size" property. The
 //!   design "makes no assumption on the sparsity of the matrix".
-//! * [`jacobi`] — a Jacobi iterative solver \[18\] layered on the `SpMV`
-//!   design, "usually used as a preconditioner for the more efficient
-//!   methods like conjugate gradient".
-//! * [`cg`] — that more efficient method: preconditioned conjugate
-//!   gradient whose matrix-vector products and inner products run on the
-//!   FPGA designs, with Jacobi as the preconditioner.
+//! * [`blocked`] — the same design applied to a matrix wider than one
+//!   pass's on-chip `x` buffer, one column panel at a time.
 //!
 //! [`csr`] provides the Compressed Row Storage substrate both build on.
 
 #![forbid(unsafe_code)]
 
 pub mod blocked;
-pub mod cg;
 pub mod csr;
-pub mod jacobi;
 pub mod spmv;
 
 pub use blocked::BlockedSpmv;
-pub use cg::{CgOutcome, CgSolver};
 pub use csr::CsrMatrix;
-pub use jacobi::{JacobiOutcome, JacobiSolver};
 pub use spmv::{SpmvDesign, SpmvOutcome, SpmvParams};

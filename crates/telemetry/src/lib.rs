@@ -19,9 +19,6 @@
 //!   the architectural pipeline tail. [`phases::efficiency_row`] checks a
 //!   measured record against its family's prediction at a stated
 //!   tolerance.
-//! * [`export`] — deterministic exporters: a JSONL event log (one object
-//!   per window) and a Prometheus-style text snapshot, both pinned
-//!   byte-for-byte by the exporter determinism suite.
 //! * [`registry`] — the central metric registry: every probe component id
 //!   a datapath design emits, with a docstring. The `fblas-check`
 //!   `telemetry-metric-registry` rule proves source and registry agree.
@@ -36,16 +33,14 @@
 
 #![forbid(unsafe_code)]
 
-pub mod export;
 pub mod phases;
 pub mod registry;
 pub mod store;
 pub mod trend;
 
-pub use export::{jsonl_events, prometheus_snapshot};
 pub use phases::{
     efficiency_row, segment, steady_model, EfficiencyRow, PhaseSplit, STEADY_MODELS, STEADY_TOL,
 };
-pub use registry::{lookup, METRICS};
+pub use registry::METRICS;
 pub use store::{TelemRun, TelemSet, TELEM_SCHEMA_VERSION};
 pub use trend::{render_trend_section, splice_trend_section, TREND_BEGIN, TREND_END};

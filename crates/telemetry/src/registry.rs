@@ -1,20 +1,20 @@
 //! The central metric registry: every probe component id the datapath
 //! designs emit, with a one-line docstring.
 //!
-//! Telemetry series, Chrome traces, Prometheus snapshots and the JSONL
-//! event log all key their per-component metrics by the string a design
-//! passed to [`Probe::component`](fblas_sim::Probe::component). An id
-//! that exists only in source is undocumented; an id that exists only
-//! here is stale. The `fblas-check` `telemetry-metric-registry` rule
+//! Telemetry series and Chrome traces key their per-component metrics by
+//! the string a design passed to
+//! [`Probe::component`](fblas_sim::Probe::component). An id that exists
+//! only in source is undocumented; an id that exists only here is stale.
+//! The `fblas-check` `telemetry-metric-registry` rule
 //! scans `crates/core`, `crates/fabric` and `crates/sparse` for `.component("…")`
 //! literals and proves both directions: every emitted id is declared
 //! below, and every declaration is still emitted.
 //!
 //! Kept sorted by id; the registry test enforces order and uniqueness.
+//! The docstrings feed the rule's per-id info diagnostics.
 
 /// `(component id, docstring)` for every metric id the shipped designs
-/// emit. The docstrings double as the `# HELP` text of the Prometheus
-/// exporter's per-component metrics.
+/// emit.
 pub const METRICS: &[(&str, &str)] = &[
     (
         "asum/front-end",
@@ -178,14 +178,6 @@ pub const METRICS: &[(&str, &str)] = &[
     ),
 ];
 
-/// The docstring of a registered metric id, if declared.
-pub fn lookup(id: &str) -> Option<&'static str> {
-    METRICS
-        .binary_search_by(|&(name, _)| name.cmp(id))
-        .ok()
-        .map(|i| METRICS[i].1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,11 +198,5 @@ mod tests {
                 "{id}: ids are design-scoped (design/component)"
             );
         }
-    }
-
-    #[test]
-    fn lookup_finds_declared_ids_only() {
-        assert!(lookup("dot/reducer").is_some());
-        assert!(lookup("dot/no-such-metric").is_none());
     }
 }

@@ -23,8 +23,8 @@
 //!   multi-FPGA extension (§5.2).
 //! * [`sw`] — software baselines (naive / blocked / multithreaded BLAS)
 //!   used as correctness oracles and as the §6.3 CPU comparison.
-//! * [`sparse`] — extensions from the paper's concluding remarks: CRS
-//!   sparse matrix-vector multiply and a Jacobi iterative solver.
+//! * [`sparse`] — the extension from the paper's concluding remarks: CRS
+//!   sparse matrix-vector multiply on the tree-based architecture.
 //!
 //! ## Quickstart
 //!
