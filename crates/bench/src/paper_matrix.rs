@@ -301,12 +301,14 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
     }));
 
     // ---- Level 3: hierarchical design on one XD1 FPGA (Table 4) ----
-    // `HierarchicalMm::run` aggregates its blocks analytically (no
-    // harness), so stall attribution is empty; classification falls back
-    // to arithmetic intensity. Because the harness never steps a single
-    // one of its millions of modeled cycles, the entry also contributes
-    // nothing to the throughput sidecar — counting analytic cycles as
-    // "stepped" would swamp the backend cycle-compression ratio.
+    // `HierarchicalMm::timing` is one probe block plus the §5.2 closed
+    // form: the record reads no product, so none is computed. It runs on
+    // no campaign harness, so stall attribution is empty; classification
+    // falls back to arithmetic intensity. Because the harness never
+    // steps a single one of its millions of modeled cycles, the entry
+    // also contributes nothing to the throughput sidecar — counting
+    // analytic cycles as "stepped" would swamp the backend
+    // cycle-compression ratio.
     if !quick {
         list.push(Job::new("mm/hierarchical", move |_h| {
             let area = AreaModel::default();
@@ -315,7 +317,7 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             let n3 = 512usize;
             let ha = DenseMatrix::from_rows(n3, n3, synth_int(7, n3 * n3, 4));
             let hb = DenseMatrix::from_rows(n3, n3, synth_int(8, n3 * n3, 4));
-            let out = hier.run(&ha, &hb);
+            let out = hier.timing(&ha, &hb);
             let r = RunRecord::from_sim(
                 "mm/hierarchical",
                 &[("b", 512), ("k", 8), ("m", 8), ("n", n3 as i64)],

@@ -1,13 +1,14 @@
 //! The serving campaign: cells for `observatory serve`.
 //!
 //! Each cell is one [`CellSpec`] — a batchable request class, a tenant
-//! mix, an admission policy and a batching mode — and runs as one job
-//! on the shared worker pool, so a campaign parallelizes exactly like
-//! the paper matrix: self-scheduled workers, ordered reduction,
-//! byte-identical [`ServeSet`] at any `--jobs` count and under every
-//! execution backend (each cell calibrates its class on the worker's
-//! own harness, and calibration is backend-invariant by the PR-7
-//! parity contract).
+//! mix, an admission policy and a batching mode. A campaign runs in two
+//! rounds on the shared worker pool: one job per distinct
+//! [`ShapeClass`] calibrates that class on a worker's harness, then one
+//! job per cell replays its arrivals at its class's profile. Both
+//! rounds parallelize exactly like the paper matrix: self-scheduled
+//! workers, ordered reduction, byte-identical [`ServeSet`] at any
+//! `--jobs` count and under every execution backend (calibration is
+//! backend-invariant by the PR-7 parity contract).
 //!
 //! The campaign is built around *paired* cells: for each class and
 //! load, a `b1` cell (no batching) and a `b<k>` sibling identical in
@@ -18,7 +19,7 @@
 //! data movement, not compute, dominates the Level-2 design.
 
 use fblas_metrics::ServeSet;
-use fblas_serve::{run_cell, CellSpec, KernelFamily, ShapeClass, TenantSpec};
+use fblas_serve::{calibrate, run_profiled, CellSpec, KernelFamily, ShapeClass, TenantSpec};
 use fblas_sim::ExecBackend;
 
 use crate::pool::{run_ordered_with_backend, Job};
@@ -162,18 +163,38 @@ pub fn serve_cells(quick: bool) -> Vec<CellSpec> {
     cells
 }
 
+/// The distinct shape classes of `cells`, in first-seen order.
+pub fn shape_classes(cells: &[CellSpec]) -> Vec<ShapeClass> {
+    let mut classes = Vec::new();
+    for cell in cells {
+        if !classes.contains(&cell.class) {
+            classes.push(cell.class);
+        }
+    }
+    classes
+}
+
 /// Run the campaign on `jobs` pool workers under `backend`.
 ///
-/// Every cell is one pool job; the ordered reducer reassembles the
-/// records in cell order, so the resulting [`ServeSet`] is
-/// byte-identical for every `jobs` value.
+/// Each distinct class is calibrated once, as one pool job; then every
+/// cell is one pool job at its class's profile. The ordered reducer
+/// reassembles the records in cell order, so the resulting
+/// [`ServeSet`] is byte-identical for every `jobs` value.
 pub fn run_serve_matrix_with_jobs(quick: bool, jobs: usize, backend: ExecBackend) -> ServeSet {
     let cells = serve_cells(quick);
+    let classes = shape_classes(&cells);
+    let calibrations = classes
+        .iter()
+        .map(|&class| Job::new(&class.key(), move |harness| calibrate(harness, &class)))
+        .collect();
+    let profiles = run_ordered_with_backend(calibrations, jobs, backend);
     let pool_jobs: Vec<Job<fblas_metrics::ServeRecord>> = cells
         .into_iter()
         .map(|cell| {
             let label = cell.name.clone();
-            Job::new(&label, move |harness| run_cell(harness, &cell))
+            let slot = classes.iter().position(|c| *c == cell.class);
+            let profile = profiles[slot.expect("every cell's class is calibrated")];
+            Job::new(&label, move |_| run_profiled(&cell, profile))
         })
         .collect();
     let records = run_ordered_with_backend(pool_jobs, jobs, backend);

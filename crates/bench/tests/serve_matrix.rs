@@ -11,7 +11,7 @@
 //! also satisfy the `fblas-check` conservation rules — determinism
 //! without honest books would pin the wrong thing.
 
-use fblas_bench::serve_matrix::run_serve_matrix_with_jobs;
+use fblas_bench::serve_matrix::{run_serve_matrix_with_jobs, serve_cells, shape_classes};
 use fblas_check::{check_serve_set, Severity};
 use fblas_metrics::ServeSet;
 use fblas_serve::{run_cell, CellSpec, KernelFamily, ShapeClass, TenantSpec};
@@ -36,6 +36,27 @@ fn serve_bytes_are_identical_across_backends() {
         let run = run_serve_matrix_with_jobs(true, 2, backend).to_json_string();
         assert_eq!(cycle, run, "backend {backend} changed the SERVE bytes");
     }
+}
+
+#[test]
+fn per_class_calibration_matches_per_cell_calibration() {
+    // The campaign calibrates each shape class once and shares the
+    // profile; every record must equal the cell run on its own.
+    let set = run_serve_matrix_with_jobs(true, 2, ExecBackend::Cycle);
+    let cells = serve_cells(true);
+    assert_eq!(set.records.len(), cells.len());
+    for (rec, cell) in set.records.iter().zip(&cells) {
+        assert_eq!(*rec, run_cell(&mut Harness::new(), cell), "{}", cell.name);
+    }
+    // The full campaign's nine cells share five classes.
+    let full = serve_cells(false);
+    assert_eq!(full.len(), 9);
+    let keys: Vec<String> = shape_classes(&full).iter().map(ShapeClass::key).collect();
+    assert_eq!(
+        keys,
+        ["dot64", "mvm128", "axpy256", "mvm1024", "dot4096"],
+        "first-seen class order"
+    );
 }
 
 /// xorshift64* — per-trial deterministic generator, same idiom as the

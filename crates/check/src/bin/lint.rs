@@ -2,13 +2,13 @@
 //!
 //! With no arguments, scans the workspace's datapath paths (resolved
 //! relative to this crate's manifest). With arguments, scans exactly the
-//! given files/directories instead — used by the tests to point the
-//! scanner at fixtures. Exit status 0 iff no native f64 arithmetic is
-//! found.
+//! given files/directories instead, as one program — used by the tests
+//! and CI to point the scanner at fixtures. Exit status 0 iff no native
+//! f64 arithmetic is found.
 
 use std::path::Path;
 
-use fblas_check::lint::{scan_source, scan_tree, LintHit};
+use fblas_check::lint::{scan_sources, scan_tree, LintHit};
 use fblas_check::source::{repo_root, walk_rs_files};
 
 fn main() {
@@ -37,20 +37,17 @@ fn main() {
     }
 }
 
-/// Scan each argument; a directory is walked in sorted order and its
-/// files are labelled with the `/`-joined path as given.
+/// Scan the arguments as one program; a directory is walked in sorted
+/// order and its files are labelled with the `/`-joined path as given.
 fn scan_paths(args: &[String]) -> std::io::Result<Vec<LintHit>> {
-    let mut hits = Vec::new();
+    let mut files = Vec::new();
     for arg in args {
         let path = Path::new(arg);
         if path.is_dir() {
-            for (label, source) in walk_rs_files(path, Path::new(""))? {
-                hits.extend(scan_source(&label, &source));
-            }
+            files.extend(walk_rs_files(path, Path::new(""))?);
         } else {
-            let source = std::fs::read_to_string(path)?;
-            hits.extend(scan_source(arg, &source));
+            files.push((arg.clone(), std::fs::read_to_string(path)?));
         }
     }
-    Ok(hits)
+    Ok(scan_sources(&files))
 }

@@ -75,7 +75,7 @@ pub use graph::{
     analyze_topology, bench_cross_validation_report, shipped_topologies, topology_report,
     CycleProof, ThroughputBound,
 };
-pub use lint::{scan_source, scan_tree, LintHit};
+pub use lint::{scan_source, scan_sources, scan_tree, LintHit};
 pub use parity::{check_records, coverage_report};
 pub use serve::check_serve_set;
 pub use telemetry::{check_sites, metric_registry_report, scan_metric_sites, MetricSite};

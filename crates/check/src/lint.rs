@@ -11,9 +11,11 @@
 //! This module is a dependency-free token-level scanner. It is not a type
 //! checker: it strips comments, strings and `#[cfg(test)]` items, then
 //! flags the binary operators `+ - * / += -= *= /=` whenever either
-//! operand shows local evidence of being an `f64` — a float literal, an
-//! identifier declared `: f64`, a call of a function declared `-> f64`,
-//! or an `as f64` cast. Escapes, in decreasing order of preference:
+//! operand shows evidence of being an `f64` — a float literal, an
+//! identifier declared `: f64` in the same file, a call of a function
+//! declared `-> f64` in *any* scanned file (so `m.at(i, j) * x` fires
+//! although `DenseMatrix::at` lives in another module), or an `as f64`
+//! cast. Escapes, in decreasing order of preference:
 //!
 //! 1. route the value through `fblas_fpu` (the point of the lint);
 //! 2. name the function so it is recognisably an oracle (`ref_*`,
@@ -22,6 +24,7 @@
 //! 3. an explicit `// lint: allow(native-f64)` on the offending line or
 //!    the line above it.
 
+use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
 
@@ -316,10 +319,25 @@ fn skip_item(toks: &[Tok], mut i: usize) -> usize {
     i
 }
 
+/// Names of functions declared `fn name ( … ) -> f64` (or `f32`).
+fn float_fns(toks: &[Tok]) -> impl Iterator<Item = String> + '_ {
+    (0..toks.len()).filter_map(|w| {
+        if toks[w].text != "fn" || !toks.get(w + 1).is_some_and(|t| t.kind == Kind::Ident) {
+            return None;
+        }
+        let sig_end = skip_balanced(toks, w + 2, "(", ")");
+        let returns_float = toks.get(sig_end).is_some_and(|t| t.text == "->")
+            && toks
+                .get(sig_end + 1)
+                .is_some_and(|t| t.text == "f64" || t.text == "f32");
+        returns_float.then(|| toks[w + 1].text.clone())
+    })
+}
+
 /// Identifiers with local evidence of `f64` type: `name: f64` bindings,
-/// parameters and fields, plus names of functions declared `-> f64`.
-fn collect_floaty_idents(toks: &[Tok]) -> std::collections::BTreeSet<String> {
-    let mut floaty = std::collections::BTreeSet::new();
+/// parameters and fields. `float_fns` seeds the set.
+fn collect_floaty_idents(toks: &[Tok], float_fns: &BTreeSet<String>) -> BTreeSet<String> {
+    let mut floaty = float_fns.clone();
     for w in 0..toks.len() {
         // `ident : [& mut] f64`
         if toks[w].kind == Kind::Ident && toks.get(w + 1).is_some_and(|t| t.text == ":") {
@@ -337,17 +355,6 @@ fn collect_floaty_idents(toks: &[Tok]) -> std::collections::BTreeSet<String> {
                 floaty.insert(toks[w].text.clone());
             }
         }
-        // `fn name ( … ) -> f64`
-        if toks[w].text == "fn" && toks.get(w + 1).is_some_and(|t| t.kind == Kind::Ident) {
-            let sig_end = skip_balanced(toks, w + 2, "(", ")");
-            if toks.get(sig_end).is_some_and(|t| t.text == "->")
-                && toks
-                    .get(sig_end + 1)
-                    .is_some_and(|t| t.text == "f64" || t.text == "f32")
-            {
-                floaty.insert(toks[w + 1].text.clone());
-            }
-        }
     }
     floaty
 }
@@ -356,7 +363,7 @@ fn collect_floaty_idents(toks: &[Tok]) -> std::collections::BTreeSet<String> {
 fn float_evidence(
     toks: &[Tok],
     idx: usize,
-    floaty: &std::collections::BTreeSet<String>,
+    floaty: &BTreeSet<String>,
     backwards: bool,
 ) -> Option<String> {
     let t = toks.get(idx)?;
@@ -408,6 +415,31 @@ fn ends_expression(t: &Tok) -> bool {
 /// Scan one source file for native f64 arithmetic. `file_label` is used
 /// in the returned hits; `source` is the file contents.
 pub fn scan_source(file_label: &str, source: &str) -> Vec<LintHit> {
+    scan_sources(&[(file_label.to_string(), source.to_string())])
+}
+
+/// Scan `(label, source)` files as one program: every `-> f64` function
+/// declared in any of them is float evidence in all of them.
+pub fn scan_sources(files: &[(String, String)]) -> Vec<LintHit> {
+    let toks: Vec<Vec<Tok>> = files
+        .iter()
+        .map(|(_, source)| tokenize(&strip(source)))
+        .collect();
+    let float_fns: BTreeSet<String> = toks.iter().flat_map(|t| float_fns(t)).collect();
+    files
+        .iter()
+        .zip(&toks)
+        .flat_map(|((label, source), toks)| scan_tokens(label, source, toks, &float_fns))
+        .collect()
+}
+
+/// The hits in one tokenized file, given the program's `-> f64` names.
+fn scan_tokens(
+    file_label: &str,
+    source: &str,
+    toks: &[Tok],
+    float_fns: &BTreeSet<String>,
+) -> Vec<LintHit> {
     let raw_lines: Vec<&str> = source.lines().collect();
     let allowed_line = |line: usize| -> bool {
         // 1-based; the marker counts on the line itself or the one above.
@@ -419,10 +451,8 @@ pub fn scan_source(file_label: &str, source: &str) -> Vec<LintHit> {
         })
     };
 
-    let stripped = strip(source);
-    let toks = tokenize(&stripped);
-    let skip = skipped_mask(&toks);
-    let floaty = collect_floaty_idents(&toks);
+    let skip = skipped_mask(toks);
+    let floaty = collect_floaty_idents(toks, float_fns);
 
     let mut hits = Vec::new();
     for (i, t) in toks.iter().enumerate() {
@@ -447,8 +477,8 @@ pub fn scan_source(file_label: &str, source: &str) -> Vec<LintHit> {
         }
         let evidence = i
             .checked_sub(1)
-            .and_then(|p| float_evidence(&toks, p, &floaty, true))
-            .or_else(|| float_evidence(&toks, i + 1, &floaty, false));
+            .and_then(|p| float_evidence(toks, p, &floaty, true))
+            .or_else(|| float_evidence(toks, i + 1, &floaty, false));
         let Some(evidence) = evidence else { continue };
         if allowed_line(t.line) {
             continue;
@@ -465,18 +495,17 @@ pub fn scan_source(file_label: &str, source: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Scan every `.rs` file under the [`DATAPATH_PATHS`] of `repo_root`.
+/// Scan every `.rs` file under the [`DATAPATH_PATHS`] of `repo_root`,
+/// as one program (see [`scan_sources`]).
 pub fn scan_tree(repo_root: &Path) -> io::Result<Vec<LintHit>> {
-    let mut hits = Vec::new();
+    let mut files = Vec::new();
     for rel in DATAPATH_PATHS {
         let path = repo_root.join(rel);
         if path.is_file() {
             let source = std::fs::read_to_string(&path)?;
-            hits.extend(scan_source(&file_label(&path, repo_root), &source));
+            files.push((file_label(&path, repo_root), source));
         } else if path.is_dir() {
-            for (label, source) in walk_rs_files(&path, repo_root)? {
-                hits.extend(scan_source(&label, &source));
-            }
+            files.extend(walk_rs_files(&path, repo_root)?);
         } else {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
@@ -484,7 +513,7 @@ pub fn scan_tree(repo_root: &Path) -> io::Result<Vec<LintHit>> {
             ));
         }
     }
-    Ok(hits)
+    Ok(scan_sources(&files))
 }
 
 #[cfg(test)]
@@ -547,6 +576,43 @@ mod tests {
     #[test]
     fn ranges_are_not_floats() {
         assert!(scan_source("x.rs", "fn f() { for _ in 0..10 {} }").is_empty());
+    }
+
+    #[test]
+    fn f64_accessor_declared_in_another_file_fires() {
+        // The accessor is declared in one file and multiplied in another:
+        // each file alone shows no float evidence at the `*`.
+        let matrix = "pub struct M { d: Vec<f64> }\n\
+                      impl M { pub fn at(&self, i: usize) -> f64 { self.d[i] } }";
+        let kernel = "fn k(a: &M, b: &M, i: usize) {\n let _ = a.at(i) * b.at(i);\n}";
+        assert!(scan_source("kernel.rs", kernel).is_empty());
+        let files = [
+            ("matrix.rs".to_string(), matrix.to_string()),
+            ("kernel.rs".to_string(), kernel.to_string()),
+        ];
+        let hits = scan_sources(&files);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!((hits[0].file.as_str(), hits[0].line), ("kernel.rs", 2));
+        assert!(
+            hits[0].reason.contains("call of `at`"),
+            "{}",
+            hits[0].reason
+        );
+    }
+
+    #[test]
+    fn cross_file_fixture_trips_on_its_kernel_line() {
+        // The directory CI points the lint binary at; it must fail.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let files = walk_rs_files(&root.join("tests/lint-trips"), root).expect("fixture");
+        let hits = scan_sources(&files);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].line, 10);
+        assert!(
+            hits[0].file.ends_with("lint-trips/kernel.rs"),
+            "{}",
+            hits[0].file
+        );
     }
 
     #[test]

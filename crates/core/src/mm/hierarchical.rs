@@ -12,10 +12,14 @@
 //!   m²b/(k·l) cycles — giving effective latency n³/(k·l) and DRAM I/O
 //!   complexity Θ(n³/b), the lower bound for internal memory 2b².
 //!
-//! The inner engine's timing is taken from the cycle-accurate
-//! [`BlockEngine`] (run on a probe block each
-//! invocation); the outer schedule is deterministic arithmetic on top,
-//! exactly as §5.2 derives it.
+//! Timing and values are separate passes, as in `fblas-fabric`'s
+//! sharded design. [`HierarchicalMm::timing`] takes the inner engine's
+//! timing from the cycle-accurate [`BlockEngine`] (run on one probe
+//! block each invocation) and lays the §5.2 closed form on top: no
+//! product is computed. [`HierarchicalMm::run`] is that timing plus the
+//! product from `fblas_sw`'s softfloat `gemm`, which accumulates every
+//! element from a zero seed in ascending q — the array's order across
+//! z-blocks, q-blocks and the PE chain.
 
 use super::BlockEngine;
 use super::HazardPolicy;
@@ -119,6 +123,33 @@ pub struct HierarchicalOutcome {
 }
 
 impl HierarchicalOutcome {
+    /// Sustained GFLOPS at the design clock.
+    pub fn sustained_gflops(&self) -> f64 {
+        self.report.sustained_flops(&self.clock) / 1e9
+    }
+}
+
+/// Timing-only result of a hierarchical run: every field of a
+/// [`HierarchicalOutcome`] except the product.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HierarchicalTiming {
+    /// As [`HierarchicalOutcome::report`].
+    pub report: SimReport,
+    /// Clock of the PE arrays.
+    pub clock: ClockDomain,
+    /// Required DRAM bandwidth in bytes/s (= inter-FPGA link demand).
+    pub dram_bytes_per_s: f64,
+    /// Required SRAM bandwidth per FPGA in bytes/s.
+    pub sram_bytes_per_s: f64,
+    /// SRAM words used per FPGA.
+    pub sram_words_per_fpga: u64,
+    /// Pipeline-fill penalty of the l·k-PE array, in cycles.
+    pub fill_penalty_cycles: u64,
+    /// Hazard violations recorded by the probe block (per inner block).
+    pub hazards_per_block: u64,
+}
+
+impl HierarchicalTiming {
     /// Sustained GFLOPS at the design clock.
     pub fn sustained_gflops(&self) -> f64 {
         self.report.sustained_flops(&self.clock) / 1e9
@@ -248,8 +279,34 @@ impl HierarchicalMm {
         t
     }
 
-    /// Compute C = A·B. n must be a multiple of the SRAM block edge b.
+    /// Compute C = A·B: [`HierarchicalMm::timing`] plus the product.
+    ///
+    /// # Panics
+    /// As [`HierarchicalMm::timing`].
     pub fn run(&self, a: &DenseMatrix, b: &DenseMatrix) -> HierarchicalOutcome {
+        let t = self.timing(a, b);
+        let n = a.rows();
+        let c = fblas_sw::microkernel::gemm(a.as_slice(), b.as_slice(), n);
+        HierarchicalOutcome {
+            c: DenseMatrix::from_rows(n, n, c),
+            report: t.report,
+            clock: t.clock,
+            dram_bytes_per_s: t.dram_bytes_per_s,
+            sram_bytes_per_s: t.sram_bytes_per_s,
+            sram_words_per_fpga: t.sram_words_per_fpga,
+            fill_penalty_cycles: t.fill_penalty_cycles,
+            hazards_per_block: t.hazards_per_block,
+        }
+    }
+
+    /// Everything [`HierarchicalMm::run`] reports except the product:
+    /// one probe block through the cycle-accurate engine, then the §5.2
+    /// closed form.
+    ///
+    /// # Panics
+    /// Panics unless both operands are square of the same order n, a
+    /// multiple of the SRAM block edge b.
+    pub fn timing(&self, a: &DenseMatrix, b: &DenseMatrix) -> HierarchicalTiming {
         let p = &self.params;
         let (k, m, l, bb) = (p.mm.k, p.mm.m, p.l, p.b);
         let n = a.rows();
@@ -261,45 +318,10 @@ impl HierarchicalMm {
         // Probe one inner block through the cycle-accurate engine: this
         // pins the inner timing and hazard behaviour to measurement.
         let engine = BlockEngine::new(p.mm);
-        let probe_a = DenseMatrix::from_fn(m, m, |i, j| a.at(i % n, j % n));
-        let probe_b = DenseMatrix::from_fn(m, m, |i, j| b.at(i % n, j % n));
+        let probe_a = DenseMatrix::from_fn(m, m, |i, j| a.at(i, j));
+        let probe_b = DenseMatrix::from_fn(m, m, |i, j| b.at(i, j));
         let mut probe_c = vec![0.0; m * m];
         let probe = engine.multiply_accumulate(&probe_a, &probe_b, &mut probe_c);
-
-        // Functional result: the same blocked schedule (outer b-blocks,
-        // inner m-blocks distributed round-robin over FPGAs), computed
-        // with IEEE-754 binary64 arithmetic in the array's accumulation
-        // order (q innermost within a block, z-blocks then q-blocks
-        // outer).
-        let mut c = vec![0.0f64; n * n];
-        let nb_outer = n / bb;
-        let nb_inner = bb / m;
-        for bi in 0..nb_outer {
-            for bj in 0..nb_outer {
-                for bq in 0..nb_outer {
-                    // Inner: C^{bi,bj} += A^{bi,bq} × B^{bq,bj}.
-                    for gi in 0..nb_inner {
-                        for gj in 0..nb_inner {
-                            // FPGA (gj % l) owns this column-block.
-                            for gq in 0..nb_inner {
-                                let i0 = bi * bb + gi * m;
-                                let j0 = bj * bb + gj * m;
-                                let q0 = bq * bb + gq * m;
-                                for i in 0..m {
-                                    for j in 0..m {
-                                        let mut acc = c[(i0 + i) * n + (j0 + j)];
-                                        for q in 0..m {
-                                            acc += a.at(i0 + i, q0 + q) * b.at(q0 + q, j0 + j);
-                                        }
-                                        c[(i0 + i) * n + (j0 + j)] = acc;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
 
         // Timing (§5.2): effective latency n³/(k·l); the first block pays
         // its measured fill, and each element additionally traverses the
@@ -320,8 +342,7 @@ impl HierarchicalMm {
             busy_cycles: n3 / (k as u64 * l as u64),
         };
 
-        HierarchicalOutcome {
-            c: DenseMatrix::from_rows(n, n, c),
+        HierarchicalTiming {
             report,
             clock: self.clock,
             dram_bytes_per_s: hierarchical_dram_bytes_per_s(
@@ -383,8 +404,8 @@ mod tests {
     #[test]
     fn effective_latency_divides_by_l() {
         let (a, b) = int_pair(64);
-        let one = HierarchicalMm::new(HierarchicalParams::test(4, 16, 1, 32)).run(&a, &b);
-        let two = HierarchicalMm::new(HierarchicalParams::test(4, 16, 2, 32)).run(&a, &b);
+        let one = HierarchicalMm::new(HierarchicalParams::test(4, 16, 1, 32)).timing(&a, &b);
+        let two = HierarchicalMm::new(HierarchicalParams::test(4, 16, 2, 32)).timing(&a, &b);
         let ratio = one.report.cycles as f64 / two.report.cycles as f64;
         assert!((ratio - 2.0).abs() < 0.1, "ratio {ratio}");
     }
@@ -392,7 +413,7 @@ mod tests {
     #[test]
     fn dram_io_is_theta_n3_over_b() {
         let (a, b) = int_pair(64);
-        let out = HierarchicalMm::new(HierarchicalParams::test(4, 16, 1, 32)).run(&a, &b);
+        let out = HierarchicalMm::new(HierarchicalParams::test(4, 16, 1, 32)).timing(&a, &b);
         assert_eq!(out.report.words_in, 2 * 64u64.pow(3) / 32);
     }
 
@@ -426,7 +447,7 @@ mod tests {
     #[test]
     fn fill_penalty_is_k_times_l() {
         let (a, b) = int_pair(64);
-        let out = HierarchicalMm::new(HierarchicalParams::test(4, 16, 2, 32)).run(&a, &b);
+        let out = HierarchicalMm::new(HierarchicalParams::test(4, 16, 2, 32)).timing(&a, &b);
         assert_eq!(out.fill_penalty_cycles, 8);
     }
 

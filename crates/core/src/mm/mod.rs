@@ -25,7 +25,9 @@ mod host_accumulated;
 mod linear_array;
 
 pub use drain::{DrainModel, DrainStats};
-pub use hierarchical::{HierarchicalMm, HierarchicalOutcome, HierarchicalParams};
+pub use hierarchical::{
+    HierarchicalMm, HierarchicalOutcome, HierarchicalParams, HierarchicalTiming,
+};
 pub use host_accumulated::{HostAccumulatedMm, HostAccumulatedOutcome};
 pub use linear_array::{BlockEngine, BlockStats, LinearArrayMm, MmOutcome};
 

@@ -2,12 +2,14 @@
 //!
 //! One [`CellSpec`] describes a campaign cell: a batchable request
 //! class, a set of tenants, a batch limit, an arrival horizon and an
-//! SLO target. [`run_cell`] calibrates the class against the real
-//! design on the worker's harness, then replays seeded arrivals through
-//! a single-fleet discrete-event simulation on
-//! [`fblas_sim::EventQueue`] — whose `(time, seq)` ordering makes the
-//! loop FIFO-among-equals and therefore fully deterministic — and
-//! distills the run into a [`ServeRecord`].
+//! SLO target. [`run_profiled`] replays seeded arrivals at a class's
+//! calibrated [`ServiceProfile`] through a single-fleet discrete-event
+//! simulation on [`fblas_sim::EventQueue`] — whose `(time, seq)`
+//! ordering makes the loop FIFO-among-equals and therefore fully
+//! deterministic — and distills the run into a [`ServeRecord`]. A
+//! campaign calibrates each class once and hands the profile to every
+//! cell of that class; [`run_cell`] is the one-cell form that
+//! calibrates on the worker's harness first.
 //!
 //! Scheduling model: the fleet serves one batch at a time. When it goes
 //! idle it packs up to `max_batch` queued requests, oldest first across
@@ -28,7 +30,7 @@ use fblas_mem::BatchStaging;
 use fblas_metrics::{LatencyDigest, ServeRecord, TenantRecord};
 use fblas_sim::{EventQueue, Harness, LogHistogram};
 
-use crate::profile::{calibrate, ShapeClass};
+use crate::profile::{calibrate, ServiceProfile, ShapeClass};
 use crate::rng::SplitMix64;
 use crate::tenant::{ArrivalProcess, TenantSpec, TokenBucket};
 
@@ -81,12 +83,22 @@ enum Outcome {
     Rejected(u64),
 }
 
-/// Run one cell on the worker's harness and return its record.
+/// Calibrate the cell's class on the worker's harness, then run the
+/// cell at that profile and return its record.
+///
+/// # Panics
+/// As [`run_profiled`].
+pub fn run_cell(harness: &mut Harness, spec: &CellSpec) -> ServeRecord {
+    run_profiled(spec, calibrate(harness, &spec.class))
+}
+
+/// Run one cell at `profile`, its class's calibrated costs, and return
+/// its record.
 ///
 /// # Panics
 /// Panics on degenerate specs: no tenants, `max_batch == 0`,
 /// `window_ns == 0` or `horizon_ns == 0`.
-pub fn run_cell(harness: &mut Harness, spec: &CellSpec) -> ServeRecord {
+pub fn run_profiled(spec: &CellSpec, profile: ServiceProfile) -> ServeRecord {
     assert!(
         !spec.tenants.is_empty(),
         "{}: a cell needs tenants",
@@ -108,7 +120,6 @@ pub fn run_cell(harness: &mut Harness, spec: &CellSpec) -> ServeRecord {
         spec.name
     );
 
-    let profile = calibrate(harness, &spec.class);
     let staging = BatchStaging::xd1();
 
     let mut states: Vec<TenantState> = spec

@@ -36,7 +36,7 @@ pub mod profile;
 pub mod rng;
 pub mod tenant;
 
-pub use engine::{run_cell, CellSpec};
+pub use engine::{run_cell, run_profiled, CellSpec};
 pub use profile::{calibrate, cycles_to_ns, KernelFamily, ServiceProfile, ShapeClass};
 pub use rng::{sample_exp_ns, SplitMix64, EXP_ICDF_MICRO};
 pub use tenant::{ArrivalProcess, TenantSpec, TokenBucket};

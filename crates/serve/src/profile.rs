@@ -1,12 +1,13 @@
 //! Shape classes and calibrated service profiles.
 //!
 //! The front end does not re-simulate every request cycle by cycle —
-//! that would make a million-request campaign intractable. Instead each
-//! campaign cell *calibrates* its (kernel family, problem size) class
-//! once against the real instrumented design on the worker's
+//! that would make a million-request campaign intractable. Instead a
+//! campaign *calibrates* each distinct (kernel family, problem size)
+//! class once against the real instrumented design on a worker's
 //! [`Harness`], converts the measured cycle count into nanoseconds at
-//! the design's own post-place-&-route clock, and replays that service
-//! time through the discrete-event engine. Because the execution
+//! the design's own post-place-&-route clock, and every cell of that
+//! class replays the service time through the discrete-event engine.
+//! Because the execution
 //! backends are cycle-identical by contract (the PR-7 parity suites),
 //! the calibrated profile — and therefore the whole `SERVE_*.json`
 //! store — is byte-identical under `cycle`, `fast-forward` and `native`

@@ -3,7 +3,8 @@
 //! measured cycle counts must track the §5.1 formulas.
 
 use fpga_blas::blas::mm::{
-    ref_matmul, BlockEngine, HierarchicalMm, HierarchicalParams, LinearArrayMm, MmParams,
+    ref_matmul, BlockEngine, HierarchicalMm, HierarchicalOutcome, HierarchicalParams,
+    HierarchicalTiming, LinearArrayMm, MmParams,
 };
 use fpga_blas::blas::mvm::DenseMatrix;
 use proptest::prelude::*;
@@ -82,6 +83,37 @@ proptest! {
         let la = LinearArrayMm::new(MmParams::test(k, m)).run(&a, &b);
         let h = HierarchicalMm::new(HierarchicalParams::test(k, m, l, b_edge)).run(&a, &b);
         prop_assert_eq!(la.c.as_slice(), h.c.as_slice());
+    }
+
+    #[test]
+    fn hierarchical_timing_equals_run((k, m) in km(), l in 1usize..4, blocks in 1usize..3, seed in 0u64..100) {
+        // The timing-only path must report exactly what the full run
+        // reports, on every field except the product.
+        let b_edge = m * l; // one column-block per FPGA
+        let n = b_edge * blocks;
+        let a = int_mat(seed, n);
+        let b = int_mat(seed + 11, n);
+        let mm = HierarchicalMm::new(HierarchicalParams::test(k, m, l, b_edge));
+        let HierarchicalOutcome {
+            c: _,
+            report,
+            clock,
+            dram_bytes_per_s,
+            sram_bytes_per_s,
+            sram_words_per_fpga,
+            fill_penalty_cycles,
+            hazards_per_block,
+        } = mm.run(&a, &b);
+        let from_run = HierarchicalTiming {
+            report,
+            clock,
+            dram_bytes_per_s,
+            sram_bytes_per_s,
+            sram_words_per_fpga,
+            fill_penalty_cycles,
+            hazards_per_block,
+        };
+        prop_assert_eq!(mm.timing(&a, &b), from_run);
     }
 
     #[test]

@@ -74,7 +74,7 @@ fn mm_io_complexity_matches_lower_bounds() {
     let la = LinearArrayMm::new(MmParams::test(4, 16)).run(&a, &b);
     assert_eq!(la.report.words_in, 2 * (n as u64).pow(3) / 16);
 
-    let h = HierarchicalMm::new(HierarchicalParams::test(4, 16, 2, 32)).run(&a, &b);
+    let h = HierarchicalMm::new(HierarchicalParams::test(4, 16, 2, 32)).timing(&a, &b);
     assert_eq!(h.report.words_in, 2 * (n as u64).pow(3) / 32);
 }
 
@@ -91,7 +91,7 @@ fn table4_sustained_2_06_gflops_within_5_percent() {
     let n = 128;
     let a = DenseMatrix::from_rows(n, n, int_vec(5, n * n));
     let b = DenseMatrix::from_rows(n, n, int_vec(6, n * n));
-    let out = mm.run(&a, &b);
+    let out = mm.timing(&a, &b);
     let gflops = out.sustained_gflops();
     assert!(
         (gflops - 2.06).abs() / 2.06 < 0.05,
